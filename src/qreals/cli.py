@@ -14,12 +14,11 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from .errors import (DomainError, InsufficientPrecisionError,
                      NonConvergenceError)
 from .identities import run_suite
-from .polynomial import IntPolynomial
+from .polynomial import IntPolynomial, format_terms
 from .qbinomial import q_binomial, q_binomial_series
 from .qcore import (parse_real_spec, q_brace, q_brace_series, q_rational,
                     q_real_series)
@@ -27,7 +26,7 @@ from .qgamma import q_gamma
 from .qseries import binomial_series, negative_binomial_series
 from .ratfun import QRationalFunction
 from .series import LaurentSeries, series_from_ratfun
-from .snake import SnakeGraph
+from .snake import SnakeGraph, _weight_polynomial
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,38 +49,15 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # rendering
 
-def _latex_fraction(c):
+def _latex_coefficient(c, alone):
     if c.denominator == 1:
         return str(c.numerator)
-    sign = '-' if c < 0 else ''
-    return f'{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}'
-
-
-def _latex_terms(terms, var='q'):
-    parts = []
-    for k, c in terms:
-        c = Fraction(c)
-        if c == 0:
-            continue
-        sign = '-' if c < 0 else '+'
-        mag = -c if c < 0 else c
-        if k == 0:
-            body = _latex_fraction(mag)
-        else:
-            var_part = var if k == 1 else f'{var}^{{{k}}}'
-            coeff = '' if mag == 1 else _latex_fraction(mag)
-            body = f'{coeff}{var_part}'
-        parts.append((sign, body))
-    if not parts:
-        return '0'
-    out = ('-' if parts[0][0] == '-' else '') + parts[0][1]
-    for sign, body in parts[1:]:
-        out += f' {sign} {body}'
-    return out
+    return f'\\frac{{{c.numerator}}}{{{c.denominator}}}'
 
 
 def _latex_poly(p):
-    return _latex_terms(enumerate(p.coeffs))
+    return format_terms(enumerate(p.coeffs), coefficient=_latex_coefficient,
+                        power='{}^{{{}}}')
 
 
 def _latex_ratfun(rf):
@@ -100,7 +76,8 @@ def _latex_ratfun(rf):
 
 
 def _latex_series(s):
-    body = _latex_terms((s.order + i, c) for i, c in enumerate(s.coeffs))
+    body = format_terms(((s.order + i, c) for i, c in enumerate(s.coeffs)),
+                        coefficient=_latex_coefficient, power='{}^{{{}}}')
     if s.precision == float('inf'):
         return body
     tail = f'O(q^{{{s.precision}}})'
@@ -253,13 +230,13 @@ def _cmd_snake(args, started):
             paths = graph.paths_with_initial_ups(args.k)
             head = (f'{len(paths)} paths with at least {args.k} initial '
                     f'up steps for {args.value}:')
+        weights = _weight_polynomial(paths)
         lines = [head] + [f'  {p.steps}  weight {p.weight}' for p in paths]
-        lines.append(f'weight polynomial = '
-                     f'{_render(_weight_poly(paths), args.latex)}')
+        lines.append(f'weight polynomial = {_render(weights, args.latex)}')
         payload = dict(base)
         payload['paths'] = [{'steps': p.steps, 'weight': p.weight}
                             for p in paths]
-        payload['weights'] = list(_weight_poly(paths).coeffs)
+        payload['weights'] = list(weights.coeffs)
         _emit(args, 'snake',
               {'mode': args.mode, 'value': args.value, 'k': args.k},
               payload, lines, started)
@@ -284,18 +261,6 @@ def _cmd_snake(args, started):
               payload, lines, started)
 
 
-def _weight_poly(paths):
-    coeffs = {}
-    for p in paths:
-        coeffs[p.weight] = coeffs.get(p.weight, 0) + 1
-    if not coeffs:
-        return IntPolynomial.zero()
-    out = [0] * (max(coeffs) + 1)
-    for w, c in coeffs.items():
-        out[w] = c
-    return IntPolynomial(out)
-
-
 def _cmd_identity(args, started):
     names = None if args.filter in (None, 'ALL') else [
         part.strip() for part in args.filter.split(',') if part.strip()]
@@ -308,11 +273,20 @@ def _cmd_identity(args, started):
     return EXIT_OK if report.ok else EXIT_IDENTITY
 
 
-def _build_parser():
+def _env_precision():
+    text = os.environ.get('QREAL_PREC', str(DEFAULT_PREC))
     try:
-        env_prec = int(os.environ.get('QREAL_PREC', DEFAULT_PREC))
+        value = int(text)
     except ValueError:
-        env_prec = DEFAULT_PREC
+        value = 0
+    if value < 1:
+        raise ValueError(f'QREAL_PREC must be a positive integer, '
+                         f'got {text!r}')
+    return value
+
+
+def _build_parser():
+    env_prec = _env_precision()
 
     common = _Parser(add_help=False)
     common.add_argument('--prec', type=int, default=env_prec, metavar='N',
@@ -396,12 +370,12 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.prec < 1:
-        parser.error('--prec must be at least 1')
-    started = time.perf_counter()
     try:
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if args.prec < 1:
+            parser.error('--prec must be at least 1')
+        started = time.perf_counter()
         return args.handler(args, started) or EXIT_OK
     except DomainError as err:
         print(f'domain error: {err}', file=sys.stderr)

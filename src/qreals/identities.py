@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InsufficientPrecisionError, IntegralityError
+from .errors import DomainError, IntegralityError
 from .polynomial import IntPolynomial
 from .qbinomial import binomial_order, q_binomial, q_factorial, q_pochhammer
 from .qcore import (DEFAULT_PRECISION, q_brace, q_brace_series, q_integer,
@@ -27,7 +27,7 @@ from .qseries import (binomial_product, binomial_series,
                       negative_binomial_product, negative_binomial_series,
                       q_derivative, xseries)
 from .ratfun import QRationalFunction, ratfun
-from .series import LaurentSeries, series_from_ratfun
+from .series import LaurentSeries, series_from_ratfun, _with_precision_pad
 
 
 @dataclass(frozen=True)
@@ -77,20 +77,6 @@ def _poch_q(k):
 
 def _choose2(k):
     return k * (k - 1) // 2
-
-
-def _retry(build, precision, slack):
-    # build(work) compares at the target precision using series computed
-    # at the working one; agrees_with raises when the work precision was
-    # eaten by negative orders, in which case we back off and pad more
-    pad = slack
-    while True:
-        try:
-            return build(precision + pad)
-        except InsufficientPrecisionError:
-            if pad > 64 * (precision + 1):
-                raise
-            pad = max(2 * pad, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +282,7 @@ def _product_check(sum_form, product_form):
             p = product_form(a, xdeg, work)
             return s.agrees_with(p, xdeg + 1, precision), s, p
         # both builders deliver their stated precision on their own
-        return _retry(build, precision, 0)
+        return _with_precision_pad(build, precision, 0)
     return check
 
 
@@ -325,7 +311,7 @@ def _shift_one_check(series_form, sign):
             equal = (lhs.agrees_with(one, xdeg + 1, precision)
                      and lhs.agrees_with(two, xdeg + 1, precision))
             return equal, lhs, two
-        return _retry(build, precision, 8)
+        return _with_precision_pad(build, precision, 8)
     return check
 
 
@@ -345,7 +331,7 @@ def _shift_n_check(series_form, sign):
             equal = (lhs.agrees_with(one, xdeg + 1, precision)
                      and lhs.agrees_with(two, xdeg + 1, precision))
             return equal, lhs, two
-        return _retry(build, precision, 8)
+        return _with_precision_pad(build, precision, 8)
     return check
 
 
@@ -357,7 +343,7 @@ def _dq_check(series_form, rhs_series):
             lhs = q_derivative(series_form(a, xdeg, work))
             rhs = rhs_series(a, xdeg, work)
             return lhs.agrees_with(rhs, xdeg, precision), lhs, rhs
-        return _retry(build, precision, 8)
+        return _with_precision_pad(build, precision, 8)
     return check
 
 
@@ -373,7 +359,7 @@ def _func_eq_check(series_form, sign):
             lhs = q_derivative(f) * xseries([1, sign])
             rhs = scale * (f if sign > 0 else _qx(f))
             return lhs.agrees_with(rhs, xdeg, precision), lhs, rhs
-        return _retry(build, precision, 8)
+        return _with_precision_pad(build, precision, 8)
     return check
 
 
@@ -386,7 +372,7 @@ def _gamma_shift_check(binding, mode, precision, xdeg):
         lhs = q_gamma(a + 1, work)
         rhs = series_from_ratfun(q_rational(a), work) * q_gamma(a, work)
         return lhs.agrees_with(rhs, precision), lhs, rhs
-    return _retry(build, precision, slack)
+    return _with_precision_pad(build, precision, slack)
 
 
 def _gamma_binom_check(binding, mode, precision, xdeg):
@@ -411,7 +397,7 @@ def _gamma_binom_check(binding, mode, precision, xdeg):
         equal = (gamma_lhs.agrees_with(gamma_rhs, precision)
                  and poch_lhs.agrees_with(poch_rhs, precision))
         return equal, gamma_lhs, gamma_rhs
-    return _retry(build, precision, slack)
+    return _with_precision_pad(build, precision, slack)
 
 
 def _reflection_check(binding, mode, precision, xdeg):
@@ -719,11 +705,6 @@ def run_suite(identities=None, trials=25, seed=7,
         n = trials if entry.max_trials is None else min(
             trials, entry.max_trials)
         for _ in range(n):
-            binding = entry.sample(rng)
-            equal, lhs, rhs = entry.check(binding, entry.default_mode,
-                                          precision, xdeg)
-            ok = equal == entry.expect_equal
-            witness = None if ok else (str(lhs), str(rhs))
-            cases.append(IdentityCase(name, binding, entry.default_mode,
-                                      equal, entry.expect_equal, witness))
+            cases.append(verify_identity(name, entry.sample(rng),
+                                         precision=precision, xdeg=xdeg))
     return SuiteReport(seed, trials, precision, xdeg, tuple(cases))

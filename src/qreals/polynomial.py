@@ -214,11 +214,22 @@ class IntPolynomial:
         return f'IntPolynomial({self._coeffs!r})'
 
 
-def format_terms(terms, var='q'):
+def _plain_coefficient(c, alone):
+    # a fractional coefficient in front of a power of q is parenthesized
+    # so '(1/2)q^3' stays unambiguous
+    if alone or not (isinstance(c, Fraction) and c.denominator != 1):
+        return str(c)
+    return f'({c})'
+
+
+def format_terms(terms, var='q', coefficient=_plain_coefficient,
+                 power='{}^{}'):
     """Render (exponent, coefficient) pairs ascending, like '1 + 2q + q^3'.
 
-    Coefficients may be ints or Fractions; fractional ones are wrapped in
-    parentheses so '(1/2)q^3' stays unambiguous.
+    Coefficients may be ints or Fractions.  coefficient(c, alone) renders
+    a positive coefficient other than a unit in front of a power (alone
+    is true for the constant term, which is always rendered), and
+    power.format(var, k) renders var^k for k other than 0 and 1.
     """
     parts = []
     for k, c in terms:
@@ -227,15 +238,11 @@ def format_terms(terms, var='q'):
         sign = '-' if c < 0 else '+'
         mag = -c if c < 0 else c
         if k == 0:
-            body = str(mag)
+            body = coefficient(mag, True)
         else:
-            var_part = var if k == 1 else f'{var}^{k}'
-            if mag == 1:
-                body = var_part
-            elif isinstance(mag, Fraction) and mag.denominator != 1:
-                body = f'({mag}){var_part}'
-            else:
-                body = f'{mag}{var_part}'
+            var_part = var if k == 1 else power.format(var, k)
+            body = var_part if mag == 1 else \
+                coefficient(mag, False) + var_part
         parts.append((sign, body))
     if not parts:
         return '0'

@@ -17,7 +17,7 @@ from .errors import DomainError, InsufficientPrecisionError
 from .polynomial import IntPolynomial
 from .qcore import DEFAULT_PRECISION, q_rational, q_real_series
 from .ratfun import QRationalFunction
-from .series import LaurentSeries
+from .series import LaurentSeries, _with_precision_pad
 
 
 def q_factorial(n):
@@ -100,19 +100,18 @@ def q_binomial_series(value, k, precision=DEFAULT_PRECISION, **kwargs):
         return LaurentSeries.one()
     # negative orders of the factors erode precision in the product;
     # start with a generous pad and verify afterwards
-    pad = k + k * (k + 1) // 2 + 4
-    while True:
-        top = q_real_series(value, precision + pad, **kwargs)
+    def build(work):
+        top = q_real_series(value, work, **kwargs)
         out = top
         for j in range(1, k):
             top = (top - 1).shift(-1)  # [v - j] from [v - j + 1]
             out = out * top
         out = out / LaurentSeries.from_polynomial(
-            q_factorial_poly(k)).truncate(precision + pad)
-        if out.precision >= precision:
-            return out.truncate(precision)
-        if pad > 64 * (k + 1) * (precision + 1):
+            q_factorial_poly(k)).truncate(work)
+        if out.precision < precision:
             raise InsufficientPrecisionError(
                 f'binomial series for {value}, k={k} will not reach '
                 f'precision {precision}')
-        pad *= 2
+        return out.truncate(precision)
+    return _with_precision_pad(build, precision, k + k * (k + 1) // 2 + 4,
+                              width=k + 1)

@@ -18,15 +18,24 @@ gamma(a) gamma(1-a) and the power gamma(a/b)^b collapse to integer
 coefficients; the helpers here assert that collapse and raise
 IntegralityError if it ever fails, since a violation can only mean an
 arithmetic bug.
+
+Precision policy: each function returns a series known to exactly the
+precision it is given.  gamma_reflection and gamma_power size their
+working precision up front from the Gamma orders (0 on [1, oo), minus
+the orders of the [a + j]_q divided out below 1) and raise
+InsufficientPrecisionError if the result still falls short; the kernel
+sum and pochhammer_at_q retry through series._with_precision_pad.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 from .errors import DomainError, InsufficientPrecisionError, IntegralityError
 from .qcore import DEFAULT_PRECISION, q_brace, q_rational
 from .qbinomial import binomial_order, q_binomial
-from .series import LaurentSeries, series, series_from_ratfun
+from .series import (LaurentSeries, series, series_from_ratfun,
+                     _with_precision_pad)
 
 
 def scalar_binomial_series(value, precision):
@@ -69,26 +78,24 @@ def _kernel_series(a, precision):
     # advanced one factor at a time as a series: exact rational-function
     # binomials would force huge polynomial gcds here.
     n = math.floor(a)
-    pad = 4
-    while True:
-        work = precision + pad
+
+    def build(work):
         total = LaurentSeries.zero(precision)
         run = LaurentSeries.one().truncate(work)
-        k = 0
-        starved = False
-        while True:
+        for k in itertools.count():
             o = binomial_order(a, k)
             if o == math.inf:
-                break
+                return total
             shift = k * (k + 1) // 2
             if shift + o < precision:
                 if run.precision < precision - shift:
-                    starved = True
-                    break
+                    raise InsufficientPrecisionError(
+                        f'kernel series at {a} will not reach precision '
+                        f'{precision}')
                 term = run.truncate(precision - shift).shift(shift)
                 total = total + (-term if k % 2 else term)
             elif k > n:
-                break
+                return total
             # binom(a, k) -> binom(a, k+1): multiply by [a-k], divide by
             # [k+1]; expansion precisions are sized so the running series
             # loses only what the factor orders force it to
@@ -101,13 +108,7 @@ def _kernel_series(a, precision):
                 run = run * series_from_ratfun(f, p_mul)
                 p_div = max(run.precision - o_next, 0) + 2
                 run = run / series_from_ratfun(q_rational(k + 1), p_div)
-            k += 1
-        if not starved:
-            return total
-        if pad > 64 * (precision + 1):
-            raise InsufficientPrecisionError(
-                f'kernel series at {a} will not reach precision {precision}')
-        pad *= 2
+    return _with_precision_pad(build, precision, 4)
 
 
 def q_gamma(value, precision=DEFAULT_PRECISION):
@@ -150,23 +151,19 @@ def pochhammer_at_q(value, precision):
             f'Pochhammer product at q diverges for negative integer {r}')
     brace_rf = q_brace(r)
     o = brace_rf.order
-    pad = 2 * max(0, -o) + 2
-    while True:
-        work = precision + pad
+
+    def build(work):
         brace = series_from_ratfun(brace_rf, work)
         out = LaurentSeries.one().truncate(work)
-        j = 1
-        while j < work - min(0, o):
+        for j in range(1, work - min(0, o)):
             out = out * (1 - LaurentSeries.q_power(j))
             out = out / (1 - brace.shift(j))
-            j += 1
-        if out.precision >= precision:
-            return out.truncate(precision)
-        if pad > 64 * (precision + 1):
+        if out.precision < precision:
             raise InsufficientPrecisionError(
                 f'Pochhammer product at q for {value} will not reach '
                 f'precision {precision}')
-        pad *= 2
+        return out.truncate(precision)
+    return _with_precision_pad(build, precision, 2 * max(0, -o) + 2)
 
 
 def gamma_reflection(value, precision=DEFAULT_PRECISION):
@@ -181,17 +178,11 @@ def gamma_reflection(value, precision=DEFAULT_PRECISION):
     if r.denominator == 1:
         raise DomainError(
             f'reflection at integer {r} hits a pole of one factor')
-    pad = 2
-    while True:
-        left = q_gamma(r, precision + pad)
-        right = q_gamma(1 - r, precision + pad)
-        out = left * right
-        if out.precision >= precision:
-            break
-        pad *= 2
-    out = out.truncate(precision)
-    _require_integer_coefficients(out, f'reflection product at {r}')
-    return out
+    # each factor is known to precision + pad and the product keeps the
+    # smaller of precision + pad + ord(other factor)
+    pad = max(0, -_gamma_order(r), -_gamma_order(1 - r))
+    out = q_gamma(r, precision + pad) * q_gamma(1 - r, precision + pad)
+    return _integer_result(out, precision, f'reflection product at {r}')
 
 
 def gamma_power(a, b, precision=DEFAULT_PRECISION):
@@ -201,15 +192,25 @@ def gamma_power(a, b, precision=DEFAULT_PRECISION):
     r = Fraction(a, b)
     if r.denominator == 1 and r <= 0:
         raise DomainError(f'gamma has a pole at the nonpositive integer {r}')
-    pad = 2
-    while True:
-        base = q_gamma(r, precision + pad)
-        out = base ** b
-        if out.precision >= precision:
-            break
-        pad *= 2
+    # a b-th power of a series with order o known to precision p is
+    # known to p + (b - 1) o
+    pad = (b - 1) * max(0, -_gamma_order(r))
+    out = q_gamma(r, precision + pad) ** b
+    return _integer_result(out, precision, f'gamma({a}/{b})^{b}')
+
+
+def _gamma_order(r):
+    # q_gamma has order 0 on [1, oo); below 1 it divides by [r + j]_q
+    # for each unit step up to 1
+    return -sum(q_rational(r + j).order for j in range(math.ceil(1 - r)))
+
+
+def _integer_result(out, precision, what):
+    if out.precision < precision:
+        raise InsufficientPrecisionError(
+            f'{what} reached precision {out.precision}, not {precision}')
     out = out.truncate(precision)
-    _require_integer_coefficients(out, f'gamma({a}/{b})^{b}')
+    _require_integer_coefficients(out, what)
     return out
 
 

@@ -17,6 +17,14 @@ real a, and both specialize at q = 1 to the classical binomial series.
 An XSeries keeps a fixed number of x-coefficients (math.inf for exact
 polynomials in x, where every higher coefficient is known to vanish)
 and one shared q-precision; all arithmetic tracks what remains known.
+
+Precision policy: the series and product builders return exactly the
+q-precision they are given.  With d = max(0, -ord {a}_q), the product
+routes pad by d(d+1)/2 per power of x when the braces are divided out
+and by d(d+1)/2 once when they multiply; that bound is measured, not
+proved, so a result that falls short raises InsufficientPrecisionError.
+The sum route for irrational input retries through
+series._with_precision_pad.
 """
 
 import math
@@ -28,7 +36,8 @@ from .qbinomial import q_binomial, q_factorial_poly
 from .qcore import (DEFAULT_PRECISION, RealSpec, q_brace_series,
                     q_real_series)
 from .ratfun import QRationalFunction
-from .series import LaurentSeries, series, series_from_ratfun
+from .series import (LaurentSeries, series, series_from_ratfun,
+                     _with_precision_pad)
 
 
 def _coerce_coeff(c):
@@ -333,9 +342,8 @@ def negative_binomial_coefficients(r, count):
 def _sum_form(value, xdeg, precision, offset, weight, kwargs):
     # all factors [value + n] come from one stabilized series for
     # [value] through the integer shift law [value + n] = [n] + q^n [value]
-    pad = xdeg + xdeg * (xdeg + 1) // 2 + 4
-    while True:
-        top = q_real_series(value, precision + pad, **kwargs)
+    def build(work):
+        top = q_real_series(value, work, **kwargs)
         coeffs = []
         for k in range(xdeg + 1):
             n = offset(k)
@@ -344,14 +352,14 @@ def _sum_form(value, xdeg, precision, offset, weight, kwargs):
                 acc = acc * (_qint_series(n - j) + top.shift(n - j))
             c = (acc / _factorial_series(k)).shift(weight(k))
             if c.precision < precision:
-                break
+                raise InsufficientPrecisionError(
+                    f'series for {value} will not reach precision '
+                    f'{precision}')
             coeffs.append(c.truncate(precision))
-        else:
-            return _normalize(tuple(coeffs), xdeg + 1, precision)
-        if pad > 64 * (xdeg + 1) * (precision + 1):
-            raise InsufficientPrecisionError(
-                f'series for {value} will not reach precision {precision}')
-        pad *= 2
+        return _normalize(tuple(coeffs), xdeg + 1, precision)
+    return _with_precision_pad(build, precision,
+                              xdeg + xdeg * (xdeg + 1) // 2 + 4,
+                              width=xdeg + 1)
 
 
 def binomial_series(value, xdeg=8, precision=DEFAULT_PRECISION, **kwargs):
@@ -380,27 +388,33 @@ def negative_binomial_series(value, xdeg=8, precision=DEFAULT_PRECISION,
 
 
 def _product_form(value, xdeg, precision, sign, braces_on_top, kwargs):
-    pad = 4
-    while True:
-        work = precision + pad
-        brace = q_brace_series(value, work, **kwargs)
-        # factor j deviates from 1 by q-order at least j + min(0, ord),
-        # so factors beyond that bound are invisible at this precision
-        factors = work + max(0, -brace.order) + 1
-        out = XSeries.one().truncate_x(xdeg + 1).truncate_q(work)
-        for j in range(factors):
-            power_factor = xseries([1, sign * LaurentSeries.q_power(j)])
-            brace_factor = xseries([1, sign * brace.shift(j)])
-            if braces_on_top:  # {value + j} = q^j {value}
-                out = out * brace_factor / power_factor
-            else:
-                out = out * power_factor / brace_factor
-        if out.precision >= precision:
-            return out.truncate_q(precision)
-        if pad > 64 * (xdeg + 1) * (precision + 1):
-            raise InsufficientPrecisionError(
-                f'product for {value} will not reach precision {precision}')
-        pad *= 2
+    # the pad of the module's precision policy, with the brace order
+    # read off its series at the target precision
+    brace = q_brace_series(value, precision, **kwargs)
+    d = max(0, -brace.order)
+    pad = d * (d + 1) // 2 * (1 if braces_on_top else xdeg)
+    if pad:
+        brace = q_brace_series(value, precision + pad, **kwargs)
+    out = _expand_product(brace, xdeg, precision + pad, sign, braces_on_top)
+    if out.precision < precision:
+        raise InsufficientPrecisionError(
+            f'product for {value} reached precision {out.precision}, '
+            f'not {precision}')
+    return out.truncate_q(precision)
+
+
+def _expand_product(brace, xdeg, work, sign, braces_on_top):
+    # factor j deviates from 1 by q-order at least j + min(0, ord), so
+    # factors beyond that bound are invisible at this precision
+    out = XSeries.one().truncate_x(xdeg + 1).truncate_q(work)
+    for j in range(work + max(0, -brace.order) + 1):
+        power_factor = xseries([1, sign * LaurentSeries.q_power(j)])
+        brace_factor = xseries([1, sign * brace.shift(j)])
+        if braces_on_top:  # {value + j} = q^j {value}
+            out = out * brace_factor / power_factor
+        else:
+            out = out * power_factor / brace_factor
+    return out
 
 
 def binomial_product(value, xdeg=8, precision=DEFAULT_PRECISION, **kwargs):

@@ -26,6 +26,10 @@ brought to integer numerators over one common denominator, the product
 or quotient is formed in int, skipping zero coefficients, and each output
 coefficient becomes a Fraction once, at the end.  series_from_ratfun
 expands a rational function through the same division kernel.
+
+Builders that lose precision to negative orders size their working
+precision up front where the loss is known in closed form; the others
+go through _with_precision_pad, the one capped retry loop.
 """
 
 import math
@@ -306,6 +310,24 @@ def series_from_ratfun(rf, precision):
         return LaurentSeries.zero(precision)
     return _normalized(rf.e, _divide(rf.num.coeffs, 1, rf.den.coeffs, 1, n),
                        precision)
+
+
+def _with_precision_pad(build, precision, pad, width=1):
+    """build(precision + pad), doubling pad while it falls short.
+
+    The one retry loop for results whose precision loss has no known
+    bound: build raises InsufficientPrecisionError when its working
+    precision was eaten, and pad then grows to max(2 * pad, 4).  Past
+    64 * width * (precision + 1) the last error propagates; width lets
+    a builder whose loss grows with a degree scale that cap.
+    """
+    while True:
+        try:
+            return build(precision + pad)
+        except InsufficientPrecisionError:
+            if pad > 64 * width * (precision + 1):
+                raise
+            pad = max(2 * pad, 4)
 
 
 def _normalized(order, coeffs, precision):

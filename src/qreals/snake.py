@@ -84,7 +84,7 @@ def _path_weight(steps, start, cells):
 
 def _weight_polynomial(paths):
     counts = Counter(p.weight for p in paths)
-    top = max(counts)
+    top = max(counts, default=-1)
     return IntPolynomial(tuple(counts.get(i, 0) for i in range(top + 1)))
 
 

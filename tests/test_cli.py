@@ -153,6 +153,15 @@ def test_snake_paths_with_minimum_ups(capsys):
     assert out.splitlines()[-1] == 'weight polynomial = q + q^2 + q^3'
 
 
+def test_snake_paths_with_no_match_has_zero_weight(capsys):
+    code, out, _ = run(capsys, 'snake', 'paths', '5/3', '9')
+    assert code == 0
+    assert out.splitlines()[-1] == 'weight polynomial = 0'
+    code, out, _ = run(capsys, 'snake', 'paths', '5/3', '9',
+                       '--format', 'json')
+    assert json.loads(out)['result']['weights'] == []
+
+
 def test_snake_tuples(capsys):
     code, out, _ = run(capsys, 'snake', 'tuples', '5/2', '2')
     assert code == 0
@@ -252,6 +261,16 @@ def test_env_precision_default(capsys, monkeypatch):
     # an explicit flag still wins
     code, out, _ = run(capsys, 'gamma', '1/2', '--prec', '5')
     assert out.endswith('O(q^5)\n')
+
+
+@pytest.mark.parametrize('value', ['abc', '0', '-3', ''])
+def test_invalid_env_precision_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv('QREAL_PREC', value)
+    code, out, err = run(capsys, 'gamma', '1/2')
+    assert code == 1
+    assert out == ''
+    assert err == f'error: QREAL_PREC must be a positive integer, ' \
+                  f'got {value!r}\n'
 
 
 def test_latex_rendering(capsys):

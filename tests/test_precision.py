@@ -1,0 +1,135 @@
+"""The precision contract: every builder returns exactly the precision it
+was asked for, the coefficients below it do not depend on the working
+precision, and closed-form working precisions expand only once."""
+
+from fractions import Fraction
+
+import pytest
+
+import qreals.qgamma as qgamma
+import qreals.qseries as qseries
+from qreals import InsufficientPrecisionError, PeriodicContinuedFraction
+from qreals.qbinomial import q_binomial_series
+from qreals.qcore import q_brace
+from qreals.qgamma import (gamma_power, gamma_reflection, pochhammer_at_q,
+                           q_gamma)
+from qreals.qseries import (binomial_product, binomial_series,
+                            generalized_pochhammer, negative_binomial_product,
+                            negative_binomial_series)
+from qreals.series import _with_precision_pad
+
+P = 10
+SILVER = PeriodicContinuedFraction((2,), (2,))
+
+# brace orders 2 down to -3 among the rationals
+VALUES = [Fraction(7, 3), Fraction(1, 2), Fraction(-1, 10), Fraction(-4, 3),
+          Fraction(-11, 10), Fraction(-21, 10)]
+# Gamma orders 0, -2, 5, -3, -4, and 14 (no known term below P)
+GAMMA_ARGS = [Fraction(5, 2), Fraction(1, 3), Fraction(-5, 2),
+              Fraction(-29, 10), Fraction(-5, 6), Fraction(-17, 4)]
+# b >= 4 with a / b < 0 as well as the small cases
+POWERS = [(1, 2), (2, 3), (-1, 4), (-3, 4), (-7, 5), (-5, 6)]
+PRODUCTS = [binomial_product, negative_binomial_product,
+            generalized_pochhammer]
+SUMS = [binomial_series, negative_binomial_series]
+
+
+def _builders():
+    for r in GAMMA_ARGS:
+        yield f'q_gamma({r})', lambda p, r=r: q_gamma(r, p)
+        yield f'reflection({r})', lambda p, r=r: gamma_reflection(r, p)
+    for r in VALUES[:4]:
+        yield f'pochhammer_at_q({r})', lambda p, r=r: pochhammer_at_q(r, p)
+    for a, b in POWERS:
+        yield f'power({a}/{b})', lambda p, a=a, b=b: gamma_power(a, b, p)
+    for fn in PRODUCTS + SUMS:
+        for r in VALUES + [SILVER]:
+            yield (f'{fn.__name__}({r})',
+                   lambda p, fn=fn, r=r: fn(r, 3, p))
+    for k in (1, 3):
+        yield (f'q_binomial_series(silver, {k})',
+               lambda p, k=k: q_binomial_series(SILVER, k, p))
+
+
+BUILDERS = dict(_builders())
+
+
+def _truncate(value, precision):
+    if isinstance(value, qseries.XSeries):
+        return value.truncate_q(precision)
+    return value.truncate(precision)
+
+
+@pytest.mark.parametrize('name', BUILDERS)
+def test_result_has_exactly_the_requested_precision(name):
+    assert BUILDERS[name](P).precision == P
+
+
+@pytest.mark.parametrize('name', BUILDERS)
+def test_result_does_not_depend_on_working_precision(name):
+    build = BUILDERS[name]
+    assert build(P) == _truncate(build(P + 12), P)
+
+
+def test_brace_orders_of_the_panel():
+    assert [q_brace(r).order for r in VALUES] == [2, 0, -1, -2, -2, -3]
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize('r', GAMMA_ARGS)
+def test_reflection_expands_each_factor_once(monkeypatch, r):
+    calls = _counting(monkeypatch, qgamma, 'q_gamma')
+    gamma_reflection(r, P)
+    values = [args[0] for args in calls]
+    assert values.count(r) == 1 and values.count(1 - r) == 1
+
+
+@pytest.mark.parametrize('a, b', POWERS)
+def test_power_expands_its_base_once(monkeypatch, a, b):
+    calls = _counting(monkeypatch, qgamma, 'q_gamma')
+    gamma_power(a, b, P)
+    assert [args[0] for args in calls].count(Fraction(a, b)) == 1
+
+
+@pytest.mark.parametrize('fn', PRODUCTS)
+@pytest.mark.parametrize('r', VALUES)
+def test_product_expands_once(monkeypatch, fn, r):
+    calls = _counting(monkeypatch, qseries, '_expand_product')
+    fn(r, 5, P)
+    assert len(calls) == 1
+
+
+def test_padding_doubles_until_the_build_succeeds():
+    pads = []
+
+    def build(work):
+        pads.append(work - P)
+        if work < P + 20:
+            raise InsufficientPrecisionError('short')
+        return work
+    assert _with_precision_pad(build, P, 0) == P + 32
+    assert pads == [0, 4, 8, 16, 32]
+
+
+@pytest.mark.parametrize('width, last', [(1, 1024), (3, 4096)])
+def test_padding_gives_up_at_its_cap(width, last):
+    pads = []
+
+    def build(work):
+        pads.append(work - P)
+        raise InsufficientPrecisionError('never enough')
+    with pytest.raises(InsufficientPrecisionError, match='never enough'):
+        _with_precision_pad(build, P, 2, width=width)
+    # the pad stops growing once it exceeds 64 * width * (P + 1)
+    assert pads[-1] == last and pads[-2] <= 64 * width * (P + 1) < last
+    assert pads == [2 ** i for i in range(1, len(pads) + 1)]
