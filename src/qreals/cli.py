@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage, 2 domain error, 3 non-convergence,
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -39,6 +40,13 @@ DEFAULT_XDEG = 8
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative integer or rational such as -7/3 is a value, not an
+        # option; argparse itself recognizes only negative decimals
+        self._negative_number_matcher = re.compile(
+            r'^-\d+(/\d+)?$|^-\d*\.\d+$')
+
     # argparse exits with 2 on bad flags; the contract reserves 2 for
     # domain errors and uses 1 for usage problems
     def error(self, message):

@@ -290,6 +290,42 @@ def _qx(f):
     return f.substitute_x(LaurentSeries.q_power(1))
 
 
+# Starting pads of the checkers below.  Their precision losses come from
+# the negative q-orders of the x-coefficients and grow with
+# d = max(0, -ord {alpha}_q), xdeg and |n|.  Each pad is the largest
+# loss measured for its (d, xdeg, n) over rationals with |alpha| <= 9,
+# xdeg 3 to 8 and n from -3 to 7.  That is measured, not proved, so
+# _with_precision_pad still doubles a pad that falls short.
+
+def _brace_deficit(a):
+    return max(0, -q_brace(a).order)
+
+
+def _capped_sum(d, xdeg):
+    # min(1, xdeg) + min(2, xdeg) + ... + min(d, xdeg)
+    return sum(min(j, xdeg) for j in range(1, d + 1))
+
+
+def _derivative_pad(sign, d, xdeg):
+    # the difference-quotient and functional-equation checkers
+    if sign > 0:
+        return d * xdeg
+    return max(d, _capped_sum(d - 1, xdeg))
+
+
+def _shift_n_pad(sign, d, xdeg, n):
+    m = abs(n)
+    if sign > 0:
+        if n >= 0:
+            return d * (xdeg + min(n, xdeg))
+        return max(2 * m * xdeg, 2 * d * xdeg, (2 * xdeg - 1) * d + m * xdeg)
+    if n >= 0:
+        return d * xdeg + _capped_sum(d, xdeg)
+    return max(m * xdeg + _capped_sum(m, xdeg),
+               _capped_sum(d, xdeg)
+               + max(m * xdeg - 1, m * d + max(0, 2 * m - d)))
+
+
 def _combine(f, factor, sign):
     if sign > 0:
         return f * xseries([1, factor])
@@ -311,7 +347,8 @@ def _shift_one_check(series_form, sign):
             equal = (lhs.agrees_with(one, xdeg + 1, precision)
                      and lhs.agrees_with(two, xdeg + 1, precision))
             return equal, lhs, two
-        return _with_precision_pad(build, precision, 8)
+        return _with_precision_pad(build, precision,
+                                   _brace_deficit(a) * xdeg)
     return check
 
 
@@ -331,11 +368,12 @@ def _shift_n_check(series_form, sign):
             equal = (lhs.agrees_with(one, xdeg + 1, precision)
                      and lhs.agrees_with(two, xdeg + 1, precision))
             return equal, lhs, two
-        return _with_precision_pad(build, precision, 8)
+        pad = _shift_n_pad(sign, _brace_deficit(a), xdeg, n)
+        return _with_precision_pad(build, precision, pad)
     return check
 
 
-def _dq_check(series_form, rhs_series):
+def _dq_check(series_form, rhs_series, sign):
     def check(binding, mode, precision, xdeg):
         a = binding['alpha']
 
@@ -343,7 +381,8 @@ def _dq_check(series_form, rhs_series):
             lhs = q_derivative(series_form(a, xdeg, work))
             rhs = rhs_series(a, xdeg, work)
             return lhs.agrees_with(rhs, xdeg, precision), lhs, rhs
-        return _with_precision_pad(build, precision, 8)
+        pad = _derivative_pad(sign, _brace_deficit(a), xdeg)
+        return _with_precision_pad(build, precision, pad)
     return check
 
 
@@ -359,7 +398,8 @@ def _func_eq_check(series_form, sign):
             lhs = q_derivative(f) * xseries([1, sign])
             rhs = scale * (f if sign > 0 else _qx(f))
             return lhs.agrees_with(rhs, xdeg, precision), lhs, rhs
-        return _with_precision_pad(build, precision, 8)
+        pad = _derivative_pad(sign, _brace_deficit(a), xdeg)
+        return _with_precision_pad(build, precision, pad)
     return check
 
 
@@ -510,13 +550,13 @@ def _entries():
                ('alpha',), _s_series_alpha,
                _dq_check(binomial_series, lambda a, xdeg, work:
                          series_from_ratfun(q_rational(a), work)
-                         * _qx(binomial_series(a - 1, xdeg, work))),
+                         * _qx(binomial_series(a - 1, xdeg, work)), 1),
                **series_only),
         _Entry('DQ_b', 'difference quotient of the deformed 1/(1-x)^a',
                ('alpha',), _s_series_alpha,
                _dq_check(negative_binomial_series, lambda a, xdeg, work:
                          series_from_ratfun(q_rational(a), work)
-                         * negative_binomial_series(a + 1, xdeg, work)),
+                         * negative_binomial_series(a + 1, xdeg, work), -1),
                **series_only),
         _Entry('FUNC_EQ_B', 'q-differential equation of the deformed '
                '(1+x)^a', ('alpha',), _s_series_alpha,

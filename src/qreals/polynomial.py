@@ -99,7 +99,7 @@ class IntPolynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPolynomial(tuple(-c for c in self._coeffs))
+        return IntPolynomial([-c for c in self._coeffs])
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -115,7 +115,7 @@ class IntPolynomial:
         if isinstance(other, int):
             if other == 0:
                 return IntPolynomial()
-            return IntPolynomial(tuple(other * c for c in self._coeffs))
+            return IntPolynomial([other * c for c in self._coeffs])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
@@ -173,7 +173,7 @@ class IntPolynomial:
         g = self.content()
         if g <= 1:
             return self
-        return IntPolynomial(tuple(c // g for c in self._coeffs))
+        return IntPolynomial([c // g for c in self._coeffs])
 
     def divide_exact(self, divisor):
         """Exact quotient self / divisor over the integers.

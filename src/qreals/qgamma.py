@@ -215,6 +215,8 @@ def _integer_result(out, precision, what):
 
 
 def _require_integer_coefficients(s, what):
+    if s.is_integral:
+        return
     for i, c in enumerate(s.coeffs):
         if c.denominator != 1:
             raise IntegralityError(

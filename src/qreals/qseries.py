@@ -90,7 +90,7 @@ class XSeries:
     def coefficients(self, count=None):
         if count is None:
             count = len(self._coeffs)
-        return tuple(self.coefficient(j) for j in range(count))
+        return tuple([self.coefficient(j) for j in range(count)])
 
     def _known_valuation(self):
         # exactly-zero x-prefix; a coefficient that merely has no known
@@ -130,14 +130,14 @@ class XSeries:
             n = max(len(self._coeffs), len(other._coeffs))
         else:
             n = length
-        coeffs = tuple(self.coefficient(j) + other.coefficient(j)
-                       for j in range(n))
+        coeffs = tuple([self.coefficient(j) + other.coefficient(j)
+                        for j in range(n)])
         return _normalize(coeffs, length)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return XSeries(tuple(-c for c in self._coeffs), self._xlength,
+        return XSeries(tuple([-c for c in self._coeffs]), self._xlength,
                        self._precision)
 
     def __sub__(self, other):
@@ -187,7 +187,7 @@ class XSeries:
             raise ZeroDivisionError('division by the zero series')
         if other._xlength == math.inf and len(other._coeffs) == 1:
             scalar = other._coeffs[0]
-            return _normalize(tuple(c / scalar for c in self._coeffs),
+            return _normalize(tuple([c / scalar for c in self._coeffs]),
                               self._xlength)
         length = min(self._xlength, other._xlength)
         if length == math.inf:
@@ -267,7 +267,7 @@ def _normalize(coeffs, xlength, precision=None):
             return c  # exact zeros stay exact
         return c.truncate(precision)
 
-    return XSeries(tuple(align(c) for c in coeffs), xlength, precision)
+    return XSeries(tuple([align(c) for c in coeffs]), xlength, precision)
 
 
 def _coerce_operand(other):
@@ -289,7 +289,7 @@ def xseries(coeffs, xlength=None):
     higher coefficients are known to vanish); pass the known length
     explicitly for a truncated series.
     """
-    coeffs = tuple(_coerce_coeff(c) for c in coeffs)
+    coeffs = tuple([_coerce_coeff(c) for c in coeffs])
     if xlength is None:
         xlength = math.inf
     elif xlength < len(coeffs):
@@ -329,14 +329,14 @@ def binomial_coefficients(r, count):
     The k-th coefficient is q^(k(k-1)/2) binom(r, k)_q.
     """
     r = Fraction(r)
-    return tuple(QRationalFunction.q_power(k * (k - 1) // 2)
-                 * q_binomial(r, k) for k in range(count))
+    return tuple([QRationalFunction.q_power(k * (k - 1) // 2)
+                  * q_binomial(r, k) for k in range(count)])
 
 
 def negative_binomial_coefficients(r, count):
     """Exact x-coefficients of the deformed 1/(1-x)^r: binom(r+k-1, k)_q."""
     r = Fraction(r)
-    return tuple(q_binomial(r + k - 1, k) for k in range(count))
+    return tuple([q_binomial(r + k - 1, k) for k in range(count)])
 
 
 def _sum_form(value, xdeg, precision, offset, weight, kwargs):
@@ -370,8 +370,8 @@ def binomial_series(value, xdeg=8, precision=DEFAULT_PRECISION, **kwargs):
     """
     if _is_rational_input(value):
         exact = binomial_coefficients(_as_fraction(value), xdeg + 1)
-        return _normalize(tuple(series_from_ratfun(c, precision)
-                                for c in exact), xdeg + 1, precision)
+        return _normalize(tuple([series_from_ratfun(c, precision)
+                                 for c in exact]), xdeg + 1, precision)
     return _sum_form(value, xdeg, precision, offset=lambda k: 0,
                      weight=lambda k: k * (k - 1) // 2, kwargs=kwargs)
 
@@ -381,8 +381,8 @@ def negative_binomial_series(value, xdeg=8, precision=DEFAULT_PRECISION,
     """Deformation of 1/(1-x)^value; x^k coefficient binom(value+k-1, k)_q."""
     if _is_rational_input(value):
         exact = negative_binomial_coefficients(_as_fraction(value), xdeg + 1)
-        return _normalize(tuple(series_from_ratfun(c, precision)
-                                for c in exact), xdeg + 1, precision)
+        return _normalize(tuple([series_from_ratfun(c, precision)
+                                 for c in exact]), xdeg + 1, precision)
     return _sum_form(value, xdeg, precision, offset=lambda k: k - 1,
                      weight=lambda k: 0, kwargs=kwargs)
 
@@ -459,7 +459,7 @@ def q_derivative(f):
     else:
         n = f.xlength
         length = max(f.xlength - 1, 0)
-    coeffs = tuple(f.coefficient(j) * IntPolynomial((1,) * j)
-                   for j in range(1, n))
+    coeffs = tuple([f.coefficient(j) * IntPolynomial((1,) * j)
+                    for j in range(1, n)])
     return _normalize(coeffs, length)
 

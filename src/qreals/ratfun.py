@@ -260,8 +260,8 @@ def ratfun(e, num, den, reduced=False):
             den = den.divide_exact(g)
     c = _int_gcd(num.content(), den.content())
     if c > 1:
-        num = IntPolynomial(tuple(x // c for x in num.coeffs))
-        den = IntPolynomial(tuple(x // c for x in den.coeffs))
+        num = IntPolynomial([x // c for x in num.coeffs])
+        den = IntPolynomial([x // c for x in den.coeffs])
     if den.coeffs[0] < 0:
         num, den = -num, -den
     return QRationalFunction(e, num, den)

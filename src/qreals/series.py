@@ -1,15 +1,30 @@
 """Laurent series in q with explicit precision tracking.
 
-A series stores its coefficients for exponents order..precision-1 as a
-tuple of Fractions; everything at or above `precision` is unknown.
-precision may be math.inf (every coefficient is known, i.e. the value is
-an exact Laurent polynomial).  A series with no known nonzero coefficient has order
-math.inf and no stored coefficients; with finite precision that means
-"zero as far as we can see", with infinite precision it is exactly zero.
+A series knows its coefficients for exponents below `precision`;
+everything at or above it is unknown.  precision may be math.inf (every
+coefficient is known, i.e. the value is an exact Laurent polynomial).  A
+series with no known nonzero coefficient has order math.inf and no stored
+coefficients; with finite precision that means "zero as far as we can
+see", with infinite precision it is exactly zero.
 
-Stored coefficients always start and end with a nonzero value, so `order`
-is the true q-adic order whenever the series is nonzero.  Arithmetic
-propagates precision pessimistically:
+Storage is the one FLINT uses for fmpq_poly: integer numerators over one
+common denominator.  A series is (order, nums, den, precision), and the
+coefficient of q^(order + i) is nums[i] / den.  The form is canonical:
+
+    nums is a tuple of ints whose first and last entries are nonzero,
+    den is a positive int, and gcd(den, *nums) == 1,
+
+so `order` is the true q-adic order whenever the series is nonzero, and
+two equal series have equal fields, which is what __eq__ and __hash__
+compare.  Every operation computes in int and ends in _canonical, which
+strips the zero fringes, fixes the sign and divides out one gcd.  For
+rational input almost every series is integral (den == 1); Gamma's
+(1-q)^(1-a) factor brings in powers of the denominator of a.  Fractions
+exist only at the edges: `coeffs` and `coefficient(k)` build them on
+demand, rendering and to_json read them, and series(), scale() and
+_coerce() accept them as input.
+
+Arithmetic propagates precision pessimistically:
 
     add:  min(p1, p2)
     mul:  min(p1 + ord2, p2 + ord1)      (unknown tails shift by the
@@ -21,11 +36,18 @@ place of its order.  Division of two exact series is refused unless the
 divisor is a monomial, since the quotient would in general need
 infinitely many terms; truncate() an operand first.
 
-Multiplication and division do not compute in Fraction.  Each operand is
-brought to integer numerators over one common denominator, the product
-or quotient is formed in int, skipping zero coefficients, and each output
-coefficient becomes a Fraction once, at the end.  series_from_ratfun
-expands a rational function through the same division kernel.
+Multiplication convolves the numerators, skipping zero coefficients, over
+the product of the denominators.  Division runs the quotient recurrence
+in int; a divisor lead other than +-1 puts powers of the lead in the
+common denominator.  series_from_ratfun expands a rational function
+through the same division kernel.
+
+Tuples are built from lists, tuple([...]), not from generators: CPython
+builds tuple(<generator>) in an over-allocated tuple and shrinks it in
+place, and freed tuples of the shrunk sizes then fill their free lists
+(up to 2000 tuples per size), memory that only a full garbage collection
+gives back and that this integer code, which allocates little, rarely
+triggers.
 
 Builders that lose precision to negative orders size their working
 precision up front where the loss is known in closed form; the others
@@ -40,20 +62,22 @@ from .polynomial import IntPolynomial, format_terms
 
 
 class LaurentSeries:
-    __slots__ = ('_order', '_coeffs', '_precision')
+    __slots__ = ('_order', '_nums', '_den', '_precision')
 
-    def __init__(self, order, coeffs, precision):
+    def __init__(self, order, nums, den, precision):
+        # trusts its arguments: they must already be in canonical form
         self._order = order
-        self._coeffs = coeffs
+        self._nums = nums
+        self._den = den
         self._precision = precision
 
     @classmethod
     def zero(cls, precision=math.inf):
-        return cls(math.inf, (), precision)
+        return cls(math.inf, (), 1, precision)
 
     @classmethod
     def one(cls):
-        return cls(0, (Fraction(1),), math.inf)
+        return cls(0, (1,), 1, math.inf)
 
     @classmethod
     def constant(cls, c):
@@ -65,7 +89,7 @@ class LaurentSeries:
 
     @classmethod
     def from_polynomial(cls, p):
-        return series(0, p.coeffs)
+        return _canonical(0, p.coeffs, 1, math.inf)
 
     @property
     def order(self):
@@ -77,48 +101,54 @@ class LaurentSeries:
 
     @property
     def coeffs(self):
-        return self._coeffs
+        """The stored coefficients as a tuple of Fractions."""
+        den = self._den
+        return tuple([Fraction(c, den) for c in self._nums])
 
     @property
     def is_zero(self):
         """No known nonzero coefficient.  Exactly zero iff also exact."""
-        return not self._coeffs
+        return not self._nums
 
     @property
     def is_exact(self):
         return self._precision == math.inf
 
+    @property
+    def is_integral(self):
+        """Every known coefficient is an integer."""
+        return self._den == 1
+
     def _eff_order(self):
         # order for precision propagation: unknown-zero series behave
         # like q**precision * (unknown)
-        return self._order if self._coeffs else self._precision
+        return self._order if self._nums else self._precision
 
     def coefficient(self, k):
         if k >= self._precision:
             raise InsufficientPrecisionError(
                 f'coefficient of q^{k} unknown at precision {self._precision}')
-        if not self._coeffs or k < self._order:
-            return Fraction(0)
         i = k - self._order
-        if i >= len(self._coeffs):
-            return Fraction(0)
-        return self._coeffs[i]
+        if 0 <= i < len(self._nums):
+            return Fraction(self._nums[i], self._den)
+        return Fraction(0)
 
     def coefficients(self, start, stop):
         """Coefficients of q^start .. q^(stop-1) as a list."""
         return [self.coefficient(k) for k in range(start, stop)]
 
     def __bool__(self):
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return (self._order == other._order and self._coeffs == other._coeffs
+        return (self._order == other._order and self._nums == other._nums
+                and self._den == other._den
                 and self._precision == other._precision)
 
     def __hash__(self):
-        return hash((self._order, self._coeffs, self._precision))
+        return hash((self._order, self._nums, self._den, self._precision))
 
     def agrees_with(self, other, below):
         """True when both series have the same coefficients below q^below."""
@@ -126,32 +156,41 @@ class LaurentSeries:
             raise InsufficientPrecisionError(
                 f'cannot compare below q^{below} at precisions '
                 f'{self._precision}, {other._precision}')
-        if below == math.inf:
-            # both exact; agreement everywhere means identical terms
-            return (self._order, self._coeffs) == (other._order, other._coeffs)
-        start = min(self._order, other._order, below)
-        if start == math.inf:
-            return True
-        return all(self.coefficient(k) == other.coefficient(k)
-                   for k in range(start, below))
+        # canonical truncations are equal exactly when the values are
+        a, b = self.truncate(below), other.truncate(below)
+        return (a._order, a._nums, a._den) == (b._order, b._nums, b._den)
 
     def __neg__(self):
-        return LaurentSeries(self._order, tuple(-c for c in self._coeffs),
-                             self._precision)
+        return LaurentSeries(self._order, tuple([-c for c in self._nums]),
+                             self._den, self._precision)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         p = min(self._precision, other._precision)
-        lo = min(self._order, other._order)
-        if lo == math.inf:
+        if not other._nums:
+            return self.truncate(p)
+        if not self._nums:
+            return other.truncate(p)
+        a, b = (self, other) if self._order <= other._order else (other, self)
+        lo = a._order
+        hi = min(max(a._support_end(), b._support_end()), p)
+        if hi <= lo:
             return LaurentSeries.zero(p)
-        hi = max(self._support_end(), other._support_end())
-        if hi > p:
-            hi = p
-        return series(lo, [self.coefficient(k) + other.coefficient(k)
-                           for k in range(lo, hi)], p)
+        # a/da + b/db over den = lcm(da, db)
+        da, db = a._den, b._den
+        g = math.gcd(da, db)
+        ma, mb = db // g, da // g
+        den = da * ma
+        acc = list(a._nums[:hi - lo])
+        if ma != 1:
+            acc = [x * ma for x in acc]
+        acc.extend([0] * (hi - lo - len(acc)))
+        off = b._order - lo
+        for i, y in enumerate(b._nums[:max(hi - b._order, 0)]):
+            acc[off + i] += y * mb
+        return _canonical(lo, acc, den, p)
 
     __radd__ = __add__
 
@@ -170,13 +209,14 @@ class LaurentSeries:
             return NotImplemented
         p = min(self._precision + other._eff_order(),
                 other._precision + self._eff_order())
-        if not self._coeffs or not other._coeffs:
+        if not self._nums or not other._nums:
             return LaurentSeries.zero(p)
         o = self._order + other._order
-        n = min(len(self._coeffs) + len(other._coeffs) - 1, p - o)
-        a, da = _integer_form(self._coeffs[:n])
-        b, db = _integer_form(other._coeffs[:n])
-        return _normalized(o, _multiply(a, da, b, db, n), p)
+        n = min(len(self._nums) + len(other._nums) - 1, p - o)
+        if n <= 0:
+            return LaurentSeries.zero(p)
+        return _canonical(o, _multiply(self._nums[:n], other._nums[:n], n),
+                          self._den * other._den, p)
 
     __rmul__ = __mul__
 
@@ -184,7 +224,7 @@ class LaurentSeries:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other._coeffs:
+        if not other._nums:
             if other.is_exact:
                 raise ZeroDivisionError('division by exact zero series')
             raise InsufficientPrecisionError(
@@ -193,21 +233,26 @@ class LaurentSeries:
         o2 = other._order
         p = min(self._precision - o2,
                 other._precision - 2 * o2 + self._eff_order())
-        if not self._coeffs:
+        if not self._nums:
             return LaurentSeries.zero(p)
         o = self._order - o2
         if p == math.inf:
-            if len(other._coeffs) > 1:
+            if len(other._nums) > 1:
                 raise InsufficientPrecisionError(
                     'division of exact series would need infinitely many '
                     'terms; truncate() an operand to a finite precision '
                     'first')
-            n = len(self._coeffs)
+            n = len(self._nums)
         else:
             n = p - o
-        a, da = _integer_form(self._coeffs[:n])
-        b, db = _integer_form(other._coeffs[:n])
-        return _normalized(o, _divide(a, da, b, db, n), p)
+        if n <= 0:
+            return LaurentSeries.zero(p)
+        # (a/da) / (b/db) = (a/b) * db / da
+        nums, den = _divide(self._nums[:n], other._nums[:n], n)
+        db = other._den
+        if db != 1:
+            nums = [y * db for y in nums]
+        return _canonical(o, nums, den * self._den, p)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -228,50 +273,54 @@ class LaurentSeries:
 
     def shift(self, k):
         """Multiply by q**k."""
-        if not self._coeffs:
+        if not self._nums:
             return LaurentSeries.zero(self._precision + k)
-        return LaurentSeries(self._order + k, self._coeffs,
+        return LaurentSeries(self._order + k, self._nums, self._den,
                              self._precision + k)
 
     def scale(self, c):
         c = Fraction(c)
-        if not c:
+        if not c or not self._nums:
             return LaurentSeries.zero(self._precision)
-        return LaurentSeries(self._order, tuple(c * a for a in self._coeffs),
-                             self._precision)
+        return _canonical(self._order,
+                          [c.numerator * a for a in self._nums],
+                          self._den * c.denominator, self._precision)
 
     def truncate(self, precision):
         """Forget coefficients at or above q**precision."""
         if precision >= self._precision:
             return self
-        kept = self._coeffs
-        if self._order != math.inf and self._order + len(kept) > precision:
-            kept = kept[:max(precision - self._order, 0)]
-        return series(self._order if kept else math.inf, kept, precision)
+        n = precision - self._order
+        if n <= 0:
+            return LaurentSeries.zero(precision)
+        if n >= len(self._nums):
+            return LaurentSeries(self._order, self._nums, self._den,
+                                 precision)
+        return _canonical(self._order, self._nums[:n], self._den, precision)
 
     def _support_end(self):
-        if not self._coeffs:
+        if not self._nums:
             return -math.inf
-        return self._order + len(self._coeffs)
+        return self._order + len(self._nums)
 
     def to_json(self):
         return {
             'order': None if self._order == math.inf else self._order,
             'precision': (None if self._precision == math.inf
                           else self._precision),
-            'coeffs': [[c.numerator, c.denominator] for c in self._coeffs],
+            'coeffs': [[c.numerator, c.denominator] for c in self.coeffs],
         }
 
     def __str__(self):
         body = format_terms(
-            ((self._order + i, c) for i, c in enumerate(self._coeffs)))
+            ((self._order + i, c) for i, c in enumerate(self.coeffs)))
         if self._precision == math.inf:
             return body
         tail = f'O(q^{self._precision})'
         return tail if body == '0' else f'{body} + {tail}'
 
     def __repr__(self):
-        return (f'LaurentSeries(order={self._order}, coeffs={self._coeffs},'
+        return (f'LaurentSeries(order={self._order}, coeffs={self.coeffs},'
                 f' precision={self._precision})')
 
 
@@ -281,7 +330,7 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         if x == 0:
             return LaurentSeries.zero()
-        return LaurentSeries(0, (Fraction(x),), math.inf)
+        return LaurentSeries(0, (x.numerator,), x.denominator, math.inf)
     if isinstance(x, IntPolynomial):
         return LaurentSeries.from_polynomial(x)
     return NotImplemented
@@ -289,7 +338,11 @@ def _coerce(x):
 
 def series(order, coeffs, precision=math.inf):
     """Normalize into a LaurentSeries, stripping zero fringes."""
-    s = _normalized(order, [Fraction(c) for c in coeffs], precision)
+    values = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+    den = math.lcm(*[c.denominator for c in values])
+    s = _canonical(order,
+                   [c.numerator * (den // c.denominator) for c in values],
+                   den, precision)
     if s._support_end() > precision:
         raise ValueError(
             f'coefficients reach q^{s._support_end() - 1} but precision '
@@ -308,8 +361,8 @@ def series_from_ratfun(rf, precision):
     n = precision - rf.e
     if n <= 0:
         return LaurentSeries.zero(precision)
-    return _normalized(rf.e, _divide(rf.num.coeffs, 1, rf.den.coeffs, 1, n),
-                       precision)
+    nums, den = _divide(rf.num.coeffs, rf.den.coeffs, n)
+    return _canonical(rf.e, nums, den, precision)
 
 
 def _with_precision_pad(build, precision, pad, width=1):
@@ -330,57 +383,58 @@ def _with_precision_pad(build, precision, pad, width=1):
             pad = max(2 * pad, 4)
 
 
-def _normalized(order, coeffs, precision):
-    """series() for a list of Fractions that needs no re-wrapping."""
-    lo, hi = 0, len(coeffs)
-    while lo < hi and not coeffs[lo]:
+def _canonical(order, nums, den, precision):
+    """The canonical series sum_i nums[i] q^(order + i) / den.
+
+    nums is a sequence of ints and den a nonzero int: strip the zero
+    fringes, make den positive and divide out gcd(den, *nums).
+    """
+    lo, hi = 0, len(nums)
+    while lo < hi and not nums[lo]:
         lo += 1
-    while hi > lo and not coeffs[hi - 1]:
+    while hi > lo and not nums[hi - 1]:
         hi -= 1
     if lo == hi:
         return LaurentSeries.zero(precision)
-    return LaurentSeries(order + lo, tuple(coeffs[lo:hi]), precision)
+    nums = tuple(nums[lo:hi])
+    if den != 1:
+        if den < 0:
+            nums, den = tuple([-c for c in nums]), -den
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple([c // g for c in nums]), den // g
+    return LaurentSeries(order + lo, nums, den, precision)
 
 
-def _integer_form(coeffs):
-    """Integer numerators over one common denominator: (nums, den)."""
-    den = math.lcm(*[c.denominator for c in coeffs])
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _multiply(a, b, n):
+    """The first n coefficients of a * b, for int sequences a and b.
 
-
-def _multiply(a, da, b, db, n):
-    """The first n coefficients of (a/da) * (b/db) as Fractions.
-
-    a and b are int sequences; the convolution runs in int and skips the
-    zero coefficients of both.
+    The convolution skips the zero coefficients of both.
     """
     acc = [0] * n
     nonzero_b = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
             for j, y in nonzero_b:
-                if i + j >= n:
+                k = i + j
+                if k >= n:
                     break
-                acc[i + j] += x * y
-    den = da * db
-    if den == 1:
-        return list(map(Fraction, acc))
-    return [Fraction(c, den) for c in acc]
+                acc[k] += x * y
+    return acc
 
 
-def _divide(a, da, b, db, n):
-    """The first n coefficients of (a/da) / (b/db) as Fractions.
+def _divide(a, b, n):
+    """The first n coefficients of a / b as (nums, den), n >= 1.
 
-    a and b are int sequences with b[0] != 0.  The quotient of the
+    a and b are int sequences with b[0] != 0, and the k-th quotient
+    coefficient is nums[k] / den.  With b0 = b[0], the quotient of the
     integer sequences has coefficients y_k / b0^(k+1), where
 
         y_k = a_k b0^k - sum_{j>=1} b_j b0^(j-1) y_(k-j),
 
-    so the recurrence stays in int whatever the lead b0 is.  The powers
-    of b0 are carried only when a later divisor term below q^n feeds the
-    recurrence; otherwise one factor of b0 in the denominator does.
+    so the recurrence stays in int whatever the lead b0 is, and den is
+    b0^n.  The powers of b0 are carried only when a later divisor term
+    below q^n feeds the recurrence; otherwise den is b0.
     """
     lead = b[0]
     tail = [(j, c) for j, c in enumerate(b[:n]) if j and c]
@@ -388,8 +442,9 @@ def _divide(a, da, b, db, n):
     tail = [(j, c * carry ** (j - 1)) for j, c in tail]
     ys = []
     power = 1
+    la = len(a)
     for k in range(n):
-        s = a[k] * power if k < len(a) else 0
+        s = a[k] * power if k < la else 0
         for j, c in tail:
             if j > k:
                 break
@@ -398,11 +453,11 @@ def _divide(a, da, b, db, n):
                 s -= c * y
         ys.append(s)
         power *= carry
-    den = da * lead
-    if den == 1 and carry == 1:
-        return [Fraction(y * db) for y in ys]
-    out = []
-    for y in ys:
-        out.append(Fraction(y * db, den))
-        den *= carry
-    return out
+    if carry == 1:
+        return ys, lead
+    # y_k / (b0 b0^k) = y_k b0^(n-1-k) / b0^n
+    scale = 1
+    for k in range(n - 1, -1, -1):
+        ys[k] *= scale
+        scale *= carry
+    return ys, lead * scale // carry

@@ -109,6 +109,53 @@ def test_gamma_irrational_is_domain_error(capsys):
 
 
 # ---------------------------------------------------------------------------
+# negative values need no '--'
+
+@pytest.mark.parametrize('argv, ref', [
+    (['gamma', '-1/2'], ['gamma', '--', '-1/2']),
+    (['gamma', '-7/3', '--prec', '8'], ['gamma', '--prec', '8', '--', '-7/3']),
+    (['eval', '-7/3'], ['eval', '--', '-7/3']),
+    (['eval', '-5/4', '--format', 'json'],
+     ['eval', '--format', 'json', '--', '-5/4']),
+    (['eval', '-7'], ['eval', '--', '-7']),
+    (['binom', '-7/3', '2'], ['binom', '--', '-7/3', '2']),
+    (['brace', '-3/2', '--latex'], ['brace', '--latex', '--', '-3/2']),
+    (['series', 'b', '-1/2', '--xdeg', '2', '--prec', '6'],
+     ['series', '--xdeg', '2', '--prec', '6', 'b', '--', '-1/2'])])
+def test_negative_value_matches_double_dash_form(capsys, argv, ref):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == run(capsys, *ref)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize('argv', [
+    ['gamma', '--prec', '8', '-1/2'], ['gamma', '-1/2', '--prec', '8'],
+    ['gamma', '--format', 'json', '-1/2', '--prec', '8', '--timing']])
+def test_options_around_a_negative_value(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if '--format' in argv:
+        envelope = json.loads(out)
+        assert envelope['input'] == {'value': '-1/2'}
+        assert envelope['precision'] == 8 and 'seconds' in envelope
+    else:
+        assert out == run(capsys, 'gamma', '--prec', '8', '--', '-1/2')[1]
+
+
+def test_negative_pole_without_double_dash(capsys):
+    code, _, err = run(capsys, 'gamma', '-3')
+    assert code == 2
+    assert 'pole' in err
+
+
+@pytest.mark.parametrize('argv', [['eval', '-x'], ['eval', '-1/2x'],
+                                  ['gamma', '-1/2', '--bogus']])
+def test_option_like_values_stay_usage_errors(capsys, argv):
+    code, _, _ = run(capsys, *argv)
+    assert code == 1
+
+
+# ---------------------------------------------------------------------------
 # series
 
 def test_series_positive_family(capsys):

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+import qreals.identities as identities
 import qreals.qgamma as qgamma
 import qreals.qseries as qseries
-from qreals import InsufficientPrecisionError, PeriodicContinuedFraction
+from qreals import (InsufficientPrecisionError, PeriodicContinuedFraction,
+                    verify_identity)
 from qreals.qbinomial import q_binomial_series
 from qreals.qcore import q_brace
 from qreals.qgamma import (gamma_power, gamma_reflection, pochhammer_at_q,
@@ -133,3 +135,37 @@ def test_padding_gives_up_at_its_cap(width, last):
     # the pad stops growing once it exceeds 64 * width * (P + 1)
     assert pads[-1] == last and pads[-2] <= 64 * width * (P + 1) < last
     assert pads == [2 ** i for i in range(1, len(pads) + 1)]
+
+
+CHECKED = ['SHIFT_B', 'SHIFT_b', 'DQ_B', 'DQ_b', 'FUNC_EQ_B', 'FUNC_EQ_b',
+           'SHIFT_Bn', 'SHIFT_bn']
+
+
+def _checker_panel():
+    for name in CHECKED:
+        for a in VALUES:
+            if name.endswith('n'):
+                for n in (-3, -1, 0, 2, 5):
+                    yield name, {'alpha': a, 'n': n}
+            else:
+                yield name, {'alpha': a}
+
+
+@pytest.mark.parametrize('xdeg', [3, 5, 8])
+def test_identity_checkers_start_from_a_sufficient_pad(monkeypatch, xdeg):
+    restarts = []
+
+    def counting(build, precision, pad, width=1):
+        def counted(work):
+            try:
+                return build(work)
+            except InsufficientPrecisionError:
+                restarts.append(work - precision)
+                raise
+        return _with_precision_pad(counted, precision, pad, width)
+    monkeypatch.setattr(identities, '_with_precision_pad', counting)
+    for name, binding in _checker_panel():
+        before = len(restarts)
+        case = verify_identity(name, binding, precision=P, xdeg=xdeg)
+        assert case.ok
+        assert len(restarts) == before, (name, binding, restarts[before:])

@@ -199,3 +199,12 @@ def test_integrality_guard():
     with pytest.raises(IntegralityError):
         _require_integer_coefficients(
             series(0, [Fraction(1, 2)], 3), 'guard test')
+
+
+def test_integrality_guard_names_the_first_fractional_coefficient():
+    _require_integer_coefficients(series(-1, [3, 0, -2], 4), 'integral')
+    with pytest.raises(IntegralityError,
+                       match=r'^guard test: coefficient of q\^1 is 1/3, '
+                       r'not an integer$'):
+        _require_integer_coefficients(
+            series(-1, [2, 4, Fraction(1, 3), 1], 4), 'guard test')

@@ -311,3 +311,194 @@ def test_expansion_matches_schoolbook(e, num, d0, den_tail, precision):
     rf = ratfun(e, P(*num), P(d0, *den_tail))
     assert_same(series_from_ratfun(rf, precision),
                 schoolbook_expand(rf, precision))
+
+
+# Storage: integer numerators over one common denominator.  The
+# references below read only the public Fraction surface (order, coeffs,
+# precision) and compute in Fraction, coefficient by coefficient.
+
+def _coef(s, k):
+    i = k - s.order
+    return s.coeffs[i] if 0 <= i < len(s.coeffs) else Fraction(0)
+
+
+def _end(s):
+    return s.order + len(s.coeffs) if s.coeffs else -math.inf
+
+
+def schoolbook_add(a, b):
+    p = min(a.precision, b.precision)
+    lo = min(a.order, b.order)
+    if lo == math.inf:
+        return LaurentSeries.zero(p)
+    hi = min(max(_end(a), _end(b)), p)
+    return series(lo, [_coef(a, k) + _coef(b, k) for k in range(lo, hi)], p)
+
+
+def schoolbook_neg(a):
+    if a.is_zero:
+        return a
+    return series(a.order, [-c for c in a.coeffs], a.precision)
+
+
+def schoolbook_scale(a, c):
+    if a.is_zero or not c:
+        return LaurentSeries.zero(a.precision)
+    return series(a.order, [c * x for x in a.coeffs], a.precision)
+
+
+def schoolbook_truncate(a, precision):
+    if precision >= a.precision:
+        return a
+    if a.is_zero:
+        return LaurentSeries.zero(precision)
+    return series(a.order, [x for k, x in enumerate(a.coeffs, a.order)
+                            if k < precision], precision)
+
+
+def schoolbook_shift(a, k):
+    if a.is_zero:
+        return LaurentSeries.zero(a.precision + k)
+    return series(a.order + k, a.coeffs, a.precision + k)
+
+
+def schoolbook_agrees(a, b, below):
+    if below == math.inf:
+        return (a.order, a.coeffs) == (b.order, b.coeffs)
+    start = min(a.order, b.order, below)
+    return all(_coef(a, k) == _coef(b, k) for k in range(start, below))
+
+
+def assert_canonical(s):
+    nums, den = s._nums, s._den
+    assert type(den) is int and den > 0
+    assert type(nums) is tuple and all(type(c) is int for c in nums)
+    if nums:
+        assert nums[0] and nums[-1]
+        assert math.gcd(den, *nums) == 1
+    else:
+        assert s.order == math.inf and den == 1
+    assert all(type(c) is Fraction for c in s.coeffs)
+    assert len(s.coeffs) == len(nums)
+
+
+scalars = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12))
+
+
+@given(any_series, any_series)
+def test_add_matches_schoolbook(a, b):
+    for got, want in ((a + b, schoolbook_add(a, b)),
+                      (a - b, schoolbook_add(a, schoolbook_neg(b)))):
+        assert_same(got, want)
+        assert_canonical(got)
+
+
+@given(any_series, scalars)
+def test_add_scalar_matches_schoolbook(a, c):
+    want = schoolbook_add(a, series(0, [c]))
+    for got in (a + c, c + a):
+        assert_same(got, want)
+        assert_canonical(got)
+    assert_same(c - a, schoolbook_add(series(0, [c]), schoolbook_neg(a)))
+
+
+@given(any_series)
+def test_neg_matches_schoolbook(a):
+    assert_same(-a, schoolbook_neg(a))
+    assert_canonical(-a)
+
+
+@given(any_series, scalars)
+def test_scale_matches_schoolbook(a, c):
+    got = a.scale(c)
+    assert_same(got, schoolbook_scale(a, Fraction(c)))
+    assert_canonical(got)
+
+
+@given(any_series, st.integers(min_value=-8, max_value=12))
+def test_truncate_matches_schoolbook(a, precision):
+    got = a.truncate(precision)
+    assert_same(got, schoolbook_truncate(a, precision))
+    assert_canonical(got)
+
+
+@given(any_series, st.integers(min_value=-6, max_value=6))
+def test_shift_matches_schoolbook(a, k):
+    got = a.shift(k)
+    assert_same(got, schoolbook_shift(a, k))
+    assert_canonical(got)
+
+
+@given(any_series, any_series, st.integers(min_value=-8, max_value=12))
+def test_agrees_with_matches_schoolbook(a, b, below):
+    # b shares a's low terms often enough to exercise both verdicts
+    b = schoolbook_add(schoolbook_truncate(a, below), b.shift(below))
+    below = min(below, a.precision, b.precision)
+    assert a.agrees_with(b, below) == schoolbook_agrees(a, b, below)
+    assert b.agrees_with(a, below) == schoolbook_agrees(a, b, below)
+
+
+def test_agrees_with_edge_cases():
+    a = series(-1, [Fraction(1, 2), 3])
+    assert a.agrees_with(series(-1, [Fraction(2, 4), 3]), math.inf)
+    assert a.agrees_with(a.truncate(5), 5)
+    assert not a.agrees_with(series(-1, [Fraction(1, 2)]), math.inf)
+    # equal numerators over different denominators
+    half = series(0, [Fraction(1, 2), 1], 5)
+    assert not series(0, [1, 2], 5).agrees_with(half, 5)
+    assert half.agrees_with(series(0, [Fraction(1, 2), 1, 0], 9), 5)
+
+
+@given(any_series, any_series, divisors)
+def test_every_operation_returns_the_canonical_form(a, b, d):
+    outs = [a + b, a - b, -a, a * b, a.scale(Fraction(-3, 4)), a.shift(2),
+            a.truncate(1), a ** 2, series(0, [1]) + a]
+    if not (a.is_exact and d.is_exact and len(d.coeffs) > 1):
+        outs.append(a / d)
+    for s in outs:
+        assert_canonical(s)
+
+
+@given(mixed_coeffs, st.integers(min_value=-4, max_value=4))
+def test_series_keeps_the_fraction_values(cs, o):
+    s = series(o, cs, o + len(cs))
+    assert_canonical(s)
+    assert s.coefficients(o, o + len(cs)) == [Fraction(c) for c in cs]
+
+
+@given(any_series)
+def test_equal_values_from_different_routes_are_equal(a):
+    routes = [a.scale(3).scale(Fraction(1, 3)),
+              a.scale(Fraction(-2, 7)).scale(Fraction(-7, 2)),
+              a.shift(3).shift(-3), a + LaurentSeries.zero(), -(-a),
+              (a + a).scale(Fraction(1, 2)), a * 1, a * LaurentSeries.one(),
+              a / LaurentSeries.one(), a / 1,
+              series(a.order, list(a.coeffs), a.precision)
+              if a.coeffs else LaurentSeries.zero(a.precision)]
+    for s in routes:
+        assert s == a
+        assert hash(s) == hash(a)
+
+
+def test_equal_values_from_integer_and_fraction_input():
+    a = series(1, [2, 0, -4], 9)
+    b = series(1, [Fraction(4, 2), Fraction(0, 3), Fraction(-8, 2)], 9)
+    c = series_from_ratfun(ratfun(1, P(2, 0, -4), P(1)), 9)
+    d = LaurentSeries.from_polynomial(P(0, 2, 0, -4)).truncate(9)
+    assert a == b == c == d
+    assert len({hash(s) for s in (a, b, c, d)}) == 1
+    assert a != a.truncate(8) and a != a.scale(Fraction(1, 2))
+
+
+def test_common_denominator_is_reduced():
+    s = series(0, [Fraction(1, 6), Fraction(1, 3)], 4)
+    assert (s._nums, s._den) == ((1, 2), 6)
+    t = s.scale(6)
+    assert (t._nums, t._den) == ((1, 2), 1)
+    assert t.coeffs == (Fraction(1), Fraction(2))
+    assert t.is_integral and not s.is_integral
+    u = series(0, [1, 2], 5) / series(0, [2, 1], 5)
+    assert u._den == 32 and u.coeffs[0] == Fraction(1, 2)
+    assert_canonical(u)
