@@ -22,7 +22,8 @@ from .polynomial import IntPolynomial
 from .qbinomial import binomial_order, q_binomial, q_factorial, q_pochhammer
 from .qcore import (DEFAULT_PRECISION, q_brace, q_brace_series, q_integer,
                     q_rational)
-from .qgamma import gamma_power, gamma_reflection, pochhammer_at_q, q_gamma
+from .qgamma import (gamma_power, gamma_reflection, pochhammer_at_q, q_gamma,
+                     _gamma_order, _pochhammer_order)
 from .qseries import (binomial_product, binomial_series,
                       negative_binomial_product, negative_binomial_series,
                       q_derivative, xseries)
@@ -405,8 +406,9 @@ def _func_eq_check(series_form, sign):
 
 def _gamma_shift_check(binding, mode, precision, xdeg):
     a = binding['alpha']
-    # multiplying by [a]_q erodes exactly its negative order, no more
-    slack = max(0, -q_rational(a).order) + 1
+    # a product of series known to work erodes exactly the negative
+    # order of either factor: [a]_q or gamma(a)
+    slack = max(0, -q_rational(a).order, -_gamma_order(a))
 
     def build(work):
         lhs = q_gamma(a + 1, work)
@@ -419,11 +421,18 @@ def _gamma_binom_check(binding, mode, precision, xdeg):
     a, k = binding['alpha'], binding['k']
     # stated multiplicatively both ways: Gamma(a+1) against
     # binom * Gamma(k+1) * Gamma(a-k+1), and the same with Pochhammer
-    # products at x = q.  Products only erode the binomial's negative
-    # order, which is known exactly, so one working precision suffices;
-    # the division form would pay twice the (large) order of the
-    # deep-negative-argument factor instead.
-    slack = max(0, -binomial_order(a, k)) + 1
+    # products at x = q.  Products of series known to work erode only
+    # the negative orders of their factors, which are known exactly, so
+    # one working precision suffices: with X = Gamma(k+1) Gamma(a-k+1) or
+    # the Pochhammer product at k times the one at a-k (the factors at k
+    # have order 0), binom * X is known to
+    # work + min(ord X, min(0, ord X) + ord binom).  The division form
+    # would pay twice the (large) order of the deep-negative-argument
+    # factor instead.
+    o = binomial_order(a, k)
+    losses = [-min(g, min(0, g) + o)
+              for g in (_gamma_order(a - k + 1), _pochhammer_order(a - k))]
+    slack = max(0, *losses)
     factor = q_binomial(a, k)
 
     def build(work):

@@ -8,6 +8,17 @@ whose factors are deformed rationals, so the result is a rational
 function of q for rational r and a Laurent series for irrational r.
 binom(r, k) is zero for k < 0 by convention, which the Pascal-style
 recurrences rely on.
+
+As series, the binomials of a rational r come from one run of exact
+short factors.  With [r]_q = q^e N / D, the shift law
+[r + t]_q = [t]_q + q^t [r]_q gives, for every integer t,
+
+    (1 - q) D [r + t]_q = (1 - q^t) D + q^t q^e (1 - q) N,
+
+a Laurent polynomial with about deg N + deg D terms, so one step of
+binom(r, k) -> binom(r, k+1) multiplies by the numerator at t = -k and
+divides by D and by 1 - q^(k+1): O(N (deg N + deg D)) for N known
+coefficients, and no exact rational function or gcd is formed.
 """
 
 import math
@@ -63,6 +74,46 @@ def q_binomial(r, k):
         if num.is_zero:
             return num
     return num / q_factorial(k)
+
+
+def shift_numerator(r):
+    """The exact numerators of the shift law for [r + t]_q.
+
+    Returns (D, f): D is [r]_q's denominator as an exact series and
+    f(t) is the exact series (1 - q^t) D + q^t q^e (1 - q) N, so that
+    [r + t]_q = f(t) / ((1 - q) D) for every integer t.
+    """
+    rf = q_rational(r)
+    den = LaurentSeries.from_polynomial(rf.den)
+    top = LaurentSeries.from_polynomial(
+        rf.num * IntPolynomial((1, -1))).shift(rf.e)
+    return den, lambda t: den - den.shift(t) + top.shift(t)
+
+
+def binomial_run(r, shifts, precision, sign=-1):
+    """Binomials of a rational r, each to be placed at q^shifts[k].
+
+    With sign -1 these are binom(r, k)_q, with sign +1 binom(r+k-1, k)_q,
+    for k < len(shifts).  Each is known at least to precision - shifts[k],
+    and a vanishing binomial is the exact zero series.  Step k multiplies
+    by [r + sign k]_q / [k+1]_q in exact factors, so a binomial known to
+    w plus its order (binomial_order) passes that w on; w is cut to what
+    the remaining binomials need before every step.
+    """
+    lows = [binomial_order(r + k - 1 if sign > 0 else r, k) + shift
+            for k, shift in enumerate(shifts)]
+    works = [max(0, precision - min(lows[k:])) for k in range(len(lows))]
+    if not works:
+        return []
+    den, numerator = shift_numerator(r)
+    run = LaurentSeries.one().truncate(works[0])
+    out = [run]
+    for k in range(len(works) - 1):
+        run = run.truncate(run.precision - works[k] + works[k + 1])
+        run = (run * numerator(sign * k) / den
+               / (1 - LaurentSeries.q_power(k + 1)))
+        out.append(run)
+    return out
 
 
 def binomial_order(r, k):

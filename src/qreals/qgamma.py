@@ -19,12 +19,20 @@ coefficients; the helpers here assert that collapse and raise
 IntegralityError if it ever fails, since a violation can only mean an
 arithmetic bug.
 
+Every factor the kernel and the Pochhammer product apply is exact: the
+kernel's binomials come from qbinomial.binomial_run, and the Pochhammer
+factor 1 - q^j {a}_q is (1 - q)[a + j]_q, applied as multiplication by
+(1 - q^j) D and division by the exact shift-law numerator of [a + j]_q.
+An exact factor moves a series' precision by exactly its order.
+
 Precision policy: each function returns a series known to exactly the
-precision it is given.  gamma_reflection and gamma_power size their
-working precision up front from the Gamma orders (0 on [1, oo), minus
-the orders of the [a + j]_q divided out below 1) and raise
-InsufficientPrecisionError if the result still falls short; the kernel
-sum and pochhammer_at_q retry through series._with_precision_pad.
+precision it is given, and none of them retries.  The precision after
+every factor is known in closed form, so each builds once at a working
+precision sized up front: the kernel from binomial_order, the
+Pochhammer product from its order (_pochhammer_order), gamma_reflection
+and gamma_power from the Gamma orders (_gamma_order: 0 on [1, oo),
+minus the orders of the [a + j]_q divided out below 1).  A result that
+still falls short raises InsufficientPrecisionError.
 """
 
 import itertools
@@ -32,10 +40,9 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, InsufficientPrecisionError, IntegralityError
-from .qcore import DEFAULT_PRECISION, q_brace, q_rational
-from .qbinomial import binomial_order, q_binomial
-from .series import (LaurentSeries, series, series_from_ratfun,
-                     _with_precision_pad)
+from .qcore import DEFAULT_PRECISION, q_rational
+from .qbinomial import binomial_order, binomial_run, shift_numerator
+from .series import LaurentSeries, series, series_from_ratfun
 
 
 def scalar_binomial_series(value, precision):
@@ -74,41 +81,27 @@ def gamma_convergence_report(value, count=8):
 def _kernel_series(a, precision):
     # sum over k of (-1)^k q^(k(k+1)/2) binom(a, k)_q, for a >= 0; terms
     # whose order passes precision are dropped, and once k > floor(a)
-    # the orders only grow, so the loop is finite.  The binomial is
-    # advanced one factor at a time as a series: exact rational-function
-    # binomials would force huge polynomial gcds here.
+    # the orders only grow, so the loop is finite.  binomial_run knows
+    # each binomial's order, so one run reaches precision.
     n = math.floor(a)
-
-    def build(work):
-        total = LaurentSeries.zero(precision)
-        run = LaurentSeries.one().truncate(work)
-        for k in itertools.count():
-            o = binomial_order(a, k)
-            if o == math.inf:
-                return total
-            shift = k * (k + 1) // 2
-            if shift + o < precision:
-                if run.precision < precision - shift:
-                    raise InsufficientPrecisionError(
-                        f'kernel series at {a} will not reach precision '
-                        f'{precision}')
-                term = run.truncate(precision - shift).shift(shift)
-                total = total + (-term if k % 2 else term)
-            elif k > n:
-                return total
-            # binom(a, k) -> binom(a, k+1): multiply by [a-k], divide by
-            # [k+1]; expansion precisions are sized so the running series
-            # loses only what the factor orders force it to
-            f = q_rational(a - k)
-            if f.is_zero:
-                run = LaurentSeries.zero()
-            else:
-                o_next = binomial_order(a, k + 1)
-                p_mul = max(run.precision + f.order - o, f.order) + 2
-                run = run * series_from_ratfun(f, p_mul)
-                p_div = max(run.precision - o_next, 0) + 2
-                run = run / series_from_ratfun(q_rational(k + 1), p_div)
-    return _with_precision_pad(build, precision, 4)
+    lows = []
+    for k in itertools.count():
+        o = binomial_order(a, k)
+        if o == math.inf or (k > n and k * (k + 1) // 2 + o >= precision):
+            break
+        lows.append(k * (k + 1) // 2 + o)
+    shifts = [k * (k + 1) // 2 for k in range(len(lows))]
+    total = LaurentSeries.zero(precision)
+    for k, binom in enumerate(binomial_run(a, shifts, precision)):
+        if lows[k] >= precision:
+            continue
+        if binom.precision < precision - shifts[k]:
+            raise InsufficientPrecisionError(
+                f'kernel series at {a} will not reach precision '
+                f'{precision}')
+        term = binom.truncate(precision - shifts[k]).shift(shifts[k])
+        total = total + (-term if k % 2 else term)
+    return total
 
 
 def q_gamma(value, precision=DEFAULT_PRECISION):
@@ -149,21 +142,26 @@ def pochhammer_at_q(value, precision):
     if r.denominator == 1 and r < 0:
         raise DomainError(
             f'Pochhammer product at q diverges for negative integer {r}')
-    brace_rf = q_brace(r)
-    o = brace_rf.order
-
-    def build(work):
-        brace = series_from_ratfun(brace_rf, work)
-        out = LaurentSeries.one().truncate(work)
-        for j in range(1, work - min(0, o)):
-            out = out * (1 - LaurentSeries.q_power(j))
-            out = out / (1 - brace.shift(j))
-        if out.precision < precision:
-            raise InsufficientPrecisionError(
-                f'Pochhammer product at q for {value} will not reach '
-                f'precision {precision}')
-        return out.truncate(precision)
-    return _with_precision_pad(build, precision, 2 * max(0, -o) + 2)
+    # 1 - q^j {r}_q = (1 - q)[r + j]_q = f(j) / D exactly, so each factor
+    # multiplies by (1 - q^j) D and divides by f(j); only the divisions
+    # move the order, which ends at _pochhammer_order(r)
+    den, numerator = shift_numerator(r)
+    order = _pochhammer_order(r)
+    work = precision - order
+    if work <= 0:
+        return LaurentSeries.zero(precision)
+    # factor j differs from 1 at q-order min(j, j + ord {r}) on a
+    # product of order `order`, so the factors from work + d on are
+    # invisible; ord {r} is read off D {r}_q = D - f(0)
+    d = max(0, -(den - numerator(0)).order)
+    out = LaurentSeries.one().truncate(work)
+    for j in range(1, work + d):
+        out = out * (den - den.shift(j)) / numerator(j)
+    if out.precision < precision:
+        raise InsufficientPrecisionError(
+            f'Pochhammer product at q for {value} will not reach '
+            f'precision {precision}')
+    return out.truncate(precision)
 
 
 def gamma_reflection(value, precision=DEFAULT_PRECISION):
@@ -197,6 +195,12 @@ def gamma_power(a, b, precision=DEFAULT_PRECISION):
     pad = (b - 1) * max(0, -_gamma_order(r))
     out = q_gamma(r, precision + pad) ** b
     return _integer_result(out, precision, f'gamma({a}/{b})^{b}')
+
+
+def _pochhammer_order(r):
+    # pochhammer_at_q is prod_{j>=1} [j]_q / [r + j]_q, and [r + j]_q has
+    # order 0 once r + j >= 1
+    return -sum(q_rational(r + j).order for j in range(1, math.ceil(1 - r)))
 
 
 def _gamma_order(r):

@@ -18,26 +18,40 @@ An XSeries keeps a fixed number of x-coefficients (math.inf for exact
 polynomials in x, where every higher coefficient is known to vanish)
 and one shared q-precision; all arithmetic tracks what remains known.
 
+How they are built.  The product routes keep the brace as a formal
+variable y: since {a+j}_q = q^j {a}_q, every factor is 1 + s q^j x or
+1 + s q^j y x, and multiplying or dividing by it shifts and adds the
+x^k y^m coefficients, integer power series in q, in O(N) each.  The
+product is then a polynomial in y of degree xdeg per power of x, and
+{a}_q is substituted once at the end through its first xdeg powers; one
+code path serves rational and irrational braces.  For rational a the sum
+routes advance binom(a, k) -> binom(a, k+1) (or binom(a+k-1, k) ->
+binom(a+k, k+1)) by the exact short factors of qbinomial.binomial_run,
+with no exact rational function formed.
+
 Precision policy: the series and product builders return exactly the
-q-precision they are given.  With d = max(0, -ord {a}_q), the product
-routes pad by d(d+1)/2 per power of x when the braces are divided out
-and by d(d+1)/2 once when they multiply; that bound is measured, not
-proved, so a result that falls short raises InsufficientPrecisionError.
-The sum route for irrational input retries through
-series._with_precision_pad.
+q-precision they are given, sized up front.  With d = max(0, -ord {a}_q),
+the product routes need the x^k y^m coefficient to precision + m d, and
+the brace to precision + (xdeg - 1) d, since its m-th power loses
+(m - 1) d; a result that still falls short raises
+InsufficientPrecisionError.  The rational sum routes read each
+binomial's order from qbinomial.binomial_order, and an exact factor
+keeps the precision beyond the order, so one run reaches the target;
+binomials that vanish (integer a) stay exact zeros.  The sum route for
+irrational input retries through series._with_precision_pad.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import InsufficientPrecisionError
 from .polynomial import IntPolynomial
-from .qbinomial import q_binomial, q_factorial_poly
+from .qbinomial import binomial_run, q_binomial, q_factorial_poly
 from .qcore import (DEFAULT_PRECISION, RealSpec, q_brace_series,
                     q_real_series)
 from .ratfun import QRationalFunction
-from .series import (LaurentSeries, series, series_from_ratfun,
-                     _with_precision_pad)
+from .series import LaurentSeries, series, _with_precision_pad
 
 
 def _coerce_coeff(c):
@@ -339,6 +353,13 @@ def negative_binomial_coefficients(r, count):
     return tuple([q_binomial(r + k - 1, k) for k in range(count)])
 
 
+def _rational_sum_form(r, xdeg, precision, sign, weight):
+    shifts = [weight(k) for k in range(xdeg + 1)]
+    run = binomial_run(r, shifts, precision, sign)
+    return _normalize(tuple([c.shift(w) for c, w in zip(run, shifts)]),
+                      xdeg + 1, precision)
+
+
 def _sum_form(value, xdeg, precision, offset, weight, kwargs):
     # all factors [value + n] come from one stabilized series for
     # [value] through the integer shift law [value + n] = [n] + q^n [value]
@@ -369,9 +390,8 @@ def binomial_series(value, xdeg=8, precision=DEFAULT_PRECISION, **kwargs):
     a rational or any real specification accepted by q_real_series.
     """
     if _is_rational_input(value):
-        exact = binomial_coefficients(_as_fraction(value), xdeg + 1)
-        return _normalize(tuple([series_from_ratfun(c, precision)
-                                 for c in exact]), xdeg + 1, precision)
+        return _rational_sum_form(_as_fraction(value), xdeg, precision, -1,
+                                  weight=lambda k: k * (k - 1) // 2)
     return _sum_form(value, xdeg, precision, offset=lambda k: 0,
                      weight=lambda k: k * (k - 1) // 2, kwargs=kwargs)
 
@@ -380,22 +400,21 @@ def negative_binomial_series(value, xdeg=8, precision=DEFAULT_PRECISION,
                              **kwargs):
     """Deformation of 1/(1-x)^value; x^k coefficient binom(value+k-1, k)_q."""
     if _is_rational_input(value):
-        exact = negative_binomial_coefficients(_as_fraction(value), xdeg + 1)
-        return _normalize(tuple([series_from_ratfun(c, precision)
-                                 for c in exact]), xdeg + 1, precision)
+        return _rational_sum_form(_as_fraction(value), xdeg, precision, 1,
+                                  weight=lambda k: 0)
     return _sum_form(value, xdeg, precision, offset=lambda k: k - 1,
                      weight=lambda k: 0, kwargs=kwargs)
 
 
 def _product_form(value, xdeg, precision, sign, braces_on_top, kwargs):
-    # the pad of the module's precision policy, with the brace order
-    # read off its series at the target precision
+    # the brace order, read off its series at the target precision, sizes
+    # the brace's own working precision: its m-th power loses (m - 1) d
     brace = q_brace_series(value, precision, **kwargs)
     d = max(0, -brace.order)
-    pad = d * (d + 1) // 2 * (1 if braces_on_top else xdeg)
+    pad = max(0, xdeg - 1) * d
     if pad:
         brace = q_brace_series(value, precision + pad, **kwargs)
-    out = _expand_product(brace, xdeg, precision + pad, sign, braces_on_top)
+    out = _expand_product(brace, xdeg, precision, sign, braces_on_top)
     if out.precision < precision:
         raise InsufficientPrecisionError(
             f'product for {value} reached precision {out.precision}, '
@@ -404,17 +423,46 @@ def _product_form(value, xdeg, precision, sign, braces_on_top, kwargs):
 
 
 def _expand_product(brace, xdeg, work, sign, braces_on_top):
-    # factor j deviates from 1 by q-order at least j + min(0, ord), so
-    # factors beyond that bound are invisible at this precision
-    out = XSeries.one().truncate_x(xdeg + 1).truncate_q(work)
-    for j in range(work + max(0, -brace.order) + 1):
-        power_factor = xseries([1, sign * LaurentSeries.q_power(j)])
-        brace_factor = xseries([1, sign * brace.shift(j)])
-        if braces_on_top:  # {value + j} = q^j {value}
-            out = out * brace_factor / power_factor
-        else:
-            out = out * power_factor / brace_factor
-    return out
+    # Write y for the brace, so that {a + j} = q^j y.  The x^k y^m
+    # coefficient c[k][m] of the product in y is an integer power series
+    # in q, and multiplying or dividing by a factor 1 + s q^j x or
+    # 1 + s q^j y x adds q^j times c[k-1][m] or c[k-1][m-1] into c[k][m].
+    # y = brace is substituted at the end, where y^m has order -m d, so
+    # c[k][m] is needed to work + m d.  While factors with j < d remain,
+    # they can still carry a coefficient up one power of y for q^j, less
+    # than the d that power costs, hence the extra (xdeg - k)(d - j).
+    if xdeg < 0:
+        return _normalize((), xdeg + 1)
+    d = max(0, -brace.order)
+    top = work + xdeg * d
+    c = [[[0] * top for m in range(k + 1)] for k in range(xdeg + 1)]
+    c[0][0][0] = 1
+    grow, shrink = (operator.add, operator.sub) if sign > 0 \
+        else (operator.sub, operator.add)
+    for j in range(top):
+        lag = max(0, d - j)
+        for dm, divide in ((0, braces_on_top), (1, not braces_on_top)):
+            # multiply in place from the top x-degree down, divide from
+            # the bottom up so each step sees the updated lower degree
+            op = shrink if divide else grow
+            for k in (range(1, xdeg + 1) if divide
+                      else range(xdeg, 0, -1)):
+                for m in range(dm, k + dm):
+                    cap = work + m * d + (xdeg - k) * lag
+                    if j < cap:
+                        src, dst = c[k - 1][m - dm], c[k][m]
+                        dst[j:cap] = map(op, dst[j:cap], src[:cap - j])
+    powers = [LaurentSeries.one()]
+    for m in range(xdeg):
+        powers.append(powers[-1] * brace)
+    coeffs = []
+    for k in range(xdeg + 1):
+        acc = LaurentSeries.zero()
+        for m in range(k + 1):
+            cap = work + m * d
+            acc = acc + series(0, c[k][m][:cap], cap) * powers[m]
+        coeffs.append(acc)
+    return _normalize(tuple(coeffs), xdeg + 1)
 
 
 def binomial_product(value, xdeg=8, precision=DEFAULT_PRECISION, **kwargs):

@@ -1,0 +1,188 @@
+"""The q-binomial builders against the direct algorithms they replaced.
+
+The product routes expand their products as polynomials in the brace,
+the sum routes and the Gamma kernel advance their binomials by exact
+short factors, and pochhammer_at_q divides by exact polynomials.  The
+references below are the direct algorithms: every brace factor a
+full-length series, every sum coefficient an exact rational function
+expanded by series_from_ratfun, every Gamma kernel factor [a-k]/[k+1] a
+full-length series, and every Pochhammer divisor the expanded series
+1 - q^j {a}_q.  Whole to_json() outputs must agree, exact zeros and
+precisions included.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from qreals import PeriodicContinuedFraction
+from qreals.errors import InsufficientPrecisionError
+from qreals.qbinomial import binomial_order
+from qreals.qcore import q_brace, q_brace_series, q_rational
+from qreals.qgamma import _kernel_series, pochhammer_at_q
+from qreals.qseries import (XSeries, binomial_coefficients, binomial_product,
+                            binomial_series, generalized_pochhammer,
+                            negative_binomial_coefficients,
+                            negative_binomial_product,
+                            negative_binomial_series, xseries)
+from qreals.series import (LaurentSeries, series_from_ratfun,
+                           _with_precision_pad)
+
+
+# ---------------------------------------------------------------------------
+# references
+
+def reference_product(value, xdeg, precision, sign, braces_on_top):
+    brace = q_brace_series(value, precision)
+    d = max(0, -brace.order)
+    pad = d * (d + 1) // 2 * (1 if braces_on_top else xdeg)
+    if pad:
+        brace = q_brace_series(value, precision + pad)
+    work = precision + pad
+    out = XSeries.one().truncate_x(xdeg + 1).truncate_q(work)
+    for j in range(work + d + 1):
+        power_factor = xseries([1, sign * LaurentSeries.q_power(j)])
+        brace_factor = xseries([1, sign * brace.shift(j)])
+        if braces_on_top:
+            out = out * brace_factor / power_factor
+        else:
+            out = out * power_factor / brace_factor
+    assert out.precision >= precision
+    return out.truncate_q(precision)
+
+
+def reference_sum(r, xdeg, precision, exact_coefficients):
+    return xseries([series_from_ratfun(c, precision)
+                    for c in exact_coefficients(r, xdeg + 1)], xdeg + 1)
+
+
+def reference_kernel(a, precision):
+    # each binomial factor [a-k]/[k+1] a full-length series; exact
+    # binomials (q_binomial) would need huge gcds at these precisions
+    n = math.floor(a)
+
+    def build(work):
+        total = LaurentSeries.zero(precision)
+        run = LaurentSeries.one().truncate(work)
+        for k in itertools.count():
+            o = binomial_order(a, k)
+            shift = k * (k + 1) // 2
+            if o == math.inf or (k > n and shift + o >= precision):
+                return total
+            if shift + o < precision:
+                if run.precision < precision - shift:
+                    raise InsufficientPrecisionError('short')
+                term = run.truncate(precision - shift).shift(shift)
+                total = total + (-term if k % 2 else term)
+            f = q_rational(a - k)
+            if f.is_zero:
+                run = LaurentSeries.zero()
+            else:
+                p_mul = max(run.precision + f.order - o, f.order) + 2
+                run = run * series_from_ratfun(f, p_mul)
+                p_div = max(run.precision - binomial_order(a, k + 1), 0) + 2
+                run = run / series_from_ratfun(q_rational(k + 1), p_div)
+    return _with_precision_pad(build, precision, 4)
+
+
+def reference_pochhammer(r, precision):
+    o = q_brace(r).order
+
+    def build(work):
+        brace = series_from_ratfun(q_brace(r), work)
+        out = LaurentSeries.one().truncate(work)
+        for j in range(1, work - min(0, o)):
+            out = out * (1 - LaurentSeries.q_power(j))
+            out = out / (1 - brace.shift(j))
+        if out.precision < precision:
+            raise InsufficientPrecisionError('short')
+        return out.truncate(precision)
+    return _with_precision_pad(build, precision, 2 * max(0, -o) + 2)
+
+
+# ---------------------------------------------------------------------------
+# inputs: denominators up to 12 with brace orders 2 down to -3, which
+# are the rationals in [-3, 3); integers among them give exact zeros
+
+@st.composite
+def rationals(draw, low=-3, high=3):
+    den = draw(st.integers(min_value=1, max_value=12))
+    return Fraction(draw(st.integers(min_value=low * den,
+                                     max_value=high * den - 1)), den)
+
+
+PERIODIC = [PeriodicContinuedFraction((2,), (2,)),
+            PeriodicContinuedFraction((1,), (2,)),
+            PeriodicContinuedFraction((3,), (1, 2))]
+xdegs = st.integers(min_value=0, max_value=8)
+precisions = st.integers(min_value=1, max_value=48)
+
+PRODUCTS = [(binomial_product, 1, False),
+            (negative_binomial_product, -1, True),
+            (generalized_pochhammer, -1, False)]
+SUMS = [(binomial_series, binomial_coefficients),
+        (negative_binomial_series, negative_binomial_coefficients)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PRODUCTS), rationals(), xdegs, precisions)
+def test_product_matches_full_length_factors(route, r, xdeg, precision):
+    fn, sign, braces_on_top = route
+    want = reference_product(r, xdeg, precision, sign, braces_on_top)
+    assert fn(r, xdeg, precision).to_json() == want.to_json()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(PRODUCTS), st.sampled_from(PERIODIC),
+       st.integers(min_value=0, max_value=5),
+       st.integers(min_value=1, max_value=24))
+def test_product_of_periodic_matches_full_length_factors(route, value, xdeg,
+                                                         precision):
+    fn, sign, braces_on_top = route
+    want = reference_product(value, xdeg, precision, sign, braces_on_top)
+    assert fn(value, xdeg, precision).to_json() == want.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SUMS), rationals(), xdegs, precisions)
+def test_sum_matches_exact_binomials(route, r, xdeg, precision):
+    fn, exact_coefficients = route
+    want = reference_sum(r, xdeg, precision, exact_coefficients)
+    assert fn(r, xdeg, precision).to_json() == want.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rationals(low=0, high=6), precisions)
+def test_gamma_kernel_matches_full_length_factors(a, precision):
+    want = reference_kernel(a, precision)
+    assert _kernel_series(a, precision).to_json() == want.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rationals().filter(lambda r: r >= 0 or r.denominator > 1),
+       precisions)
+def test_pochhammer_matches_expanded_divisors(r, precision):
+    want = reference_pochhammer(r, precision)
+    assert pochhammer_at_q(r, precision).to_json() == want.to_json()
+
+
+def test_integer_sums_keep_exact_zeros():
+    for (fn, exact_coefficients), r in itertools.product(SUMS, (-2, 0, 3)):
+        got = fn(r, 6, 10)
+        assert got.to_json() == reference_sum(
+            r, 6, 10, exact_coefficients).to_json()
+    # binom(3, k) vanishes for k > 3, binom(k - 3, k) for k >= 3
+    for fn, r, first_zero in ((binomial_series, 3, 4),
+                              (negative_binomial_series, -2, 3)):
+        zeros = [c.is_zero and c.is_exact
+                 for c in fn(r, 6, 10).coefficients()]
+        assert zeros == [k >= first_zero for k in range(7)]
+
+
+def test_no_x_coefficients_below_degree_zero():
+    for fn in [route[0] for route in PRODUCTS + SUMS]:
+        for value in (Fraction(1, 2), Fraction(-7, 3), 3, PERIODIC[0]):
+            assert fn(value, -1, 5).to_json() == {
+                'xlength': 0, 'precision': 5, 'coefficients': []}

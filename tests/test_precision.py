@@ -151,8 +151,7 @@ def _checker_panel():
                 yield name, {'alpha': a}
 
 
-@pytest.mark.parametrize('xdeg', [3, 5, 8])
-def test_identity_checkers_start_from_a_sufficient_pad(monkeypatch, xdeg):
+def _count_restarts(monkeypatch):
     restarts = []
 
     def counting(build, precision, pad, width=1):
@@ -164,8 +163,50 @@ def test_identity_checkers_start_from_a_sufficient_pad(monkeypatch, xdeg):
                 raise
         return _with_precision_pad(counted, precision, pad, width)
     monkeypatch.setattr(identities, '_with_precision_pad', counting)
-    for name, binding in _checker_panel():
+    return restarts
+
+
+def _assert_no_restart(restarts, panel, **settings):
+    for name, binding in panel:
         before = len(restarts)
-        case = verify_identity(name, binding, precision=P, xdeg=xdeg)
+        case = verify_identity(name, binding, precision=P, **settings)
         assert case.ok
         assert len(restarts) == before, (name, binding, restarts[before:])
+
+
+@pytest.mark.parametrize('xdeg', [3, 5, 8])
+def test_identity_checkers_start_from_a_sufficient_pad(monkeypatch, xdeg):
+    _assert_no_restart(_count_restarts(monkeypatch), _checker_panel(),
+                       xdeg=xdeg)
+
+
+def test_gamma_checkers_start_from_a_sufficient_slack(monkeypatch):
+    panel = [('GAMMA_SHIFT', {'alpha': a}) for a in GAMMA_ARGS]
+    panel += [('GAMMA_BINOM', {'alpha': a, 'k': k})
+              for a in GAMMA_ARGS for k in (1, 2, 4)]
+    _assert_no_restart(_count_restarts(monkeypatch), panel)
+
+
+@pytest.mark.parametrize('r', GAMMA_ARGS + [Fraction(7, 3), 3])
+def test_gamma_runs_its_binomials_once(monkeypatch, r):
+    calls = _counting(monkeypatch, qgamma, 'binomial_run')
+    q_gamma(r, P)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize('r', VALUES + GAMMA_ARGS + [0, 3])
+def test_pochhammer_builds_each_factor_once(monkeypatch, r):
+    requested = []
+    inner = qgamma.shift_numerator
+
+    def counting(value):
+        den, numerator = inner(value)
+
+        def counted(t):
+            requested.append(t)
+            return numerator(t)
+        return den, counted
+    monkeypatch.setattr(qgamma, 'shift_numerator', counting)
+    pochhammer_at_q(r, P)
+    factors = [t for t in requested if t]
+    assert factors == list(range(1, len(factors) + 1))
