@@ -13,6 +13,7 @@ expected-inequality passes while any arithmetic drift still surfaces as
 an unexpected verdict.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .qseries import (binomial_product, binomial_series,
                       negative_binomial_product, negative_binomial_series,
                       q_derivative, xseries)
 from .ratfun import QRationalFunction, ratfun
-from .series import LaurentSeries, series_from_ratfun, _with_precision_pad
+from .series import LaurentSeries, series_from_ratfun
 
 
 @dataclass(frozen=True)
@@ -277,13 +278,10 @@ def _binom_limit_check(binding, mode, precision, xdeg):
 def _product_check(sum_form, product_form):
     def check(binding, mode, precision, xdeg):
         a = binding['alpha']
-
-        def build(work):
-            s = sum_form(a, xdeg, work)
-            p = product_form(a, xdeg, work)
-            return s.agrees_with(p, xdeg + 1, precision), s, p
         # both builders deliver their stated precision on their own
-        return _with_precision_pad(build, precision, 0)
+        s = sum_form(a, xdeg, precision)
+        p = product_form(a, xdeg, precision)
+        return s.agrees_with(p, xdeg + 1, precision), s, p
     return check
 
 
@@ -291,40 +289,79 @@ def _qx(f):
     return f.substitute_x(LaurentSeries.q_power(1))
 
 
-# Starting pads of the checkers below.  Their precision losses come from
-# the negative q-orders of the x-coefficients and grow with
-# d = max(0, -ord {alpha}_q), xdeg and |n|.  Each pad is the largest
-# loss measured for its (d, xdeg, n) over rationals with |alpha| <= 9,
-# xdeg 3 to 8 and n from -3 to 7.  That is measured, not proved, so
-# _with_precision_pad still doubles a pad that falls short.
+# Working precisions of the series checkers below.  Each builds its
+# series at work = precision + pad, and every x-coefficient it builds is
+# known to exactly work.  The products and quotients it forms then move
+# that precision by the orders of their operands, by series.py's rules,
+# and those orders are known in closed form: binomial_order plus the
+# weight for the two families, ord [alpha]_q, and ord {alpha}_q =
+# floor(alpha) (qseries._product_form).  So each checker pushes (order,
+# precision - work) pairs, one per x-coefficient, through the same steps
+# as its series, and its pad is the precision the compared series lose.
+# Exact series carry math.inf for precision - work, exact zeros for both.
+# The brace counts as known to work even at alpha = 0, where it is
+# exactly 1; the other route of each statement loses as much there.
 
-def _brace_deficit(a):
-    return max(0, -q_brace(a).order)
-
-
-def _capped_sum(d, xdeg):
-    # min(1, xdeg) + min(2, xdeg) + ... + min(d, xdeg)
-    return sum(min(j, xdeg) for j in range(1, d + 1))
-
-
-def _derivative_pad(sign, d, xdeg):
-    # the difference-quotient and functional-equation checkers
-    if sign > 0:
-        return d * xdeg
-    return max(d, _capped_sum(d - 1, xdeg))
+def _family(a, xdeg, sign):
+    # the x-coefficients of the deformed (1+x)^a (sign > 0) or 1/(1-x)^a
+    return [_known(binomial_order(a, k) + _choose2(k) if sign > 0
+                   else binomial_order(a + k - 1, k)) for k in range(xdeg + 1)]
 
 
-def _shift_n_pad(sign, d, xdeg, n):
-    m = abs(n)
-    if sign > 0:
-        if n >= 0:
-            return d * (xdeg + min(n, xdeg))
-        return max(2 * m * xdeg, 2 * d * xdeg, (2 * xdeg - 1) * d + m * xdeg)
-    if n >= 0:
-        return d * xdeg + _capped_sum(d, xdeg)
-    return max(m * xdeg + _capped_sum(m, xdeg),
-               _capped_sum(d, xdeg)
-               + max(m * xdeg - 1, m * d + max(0, 2 * m - d)))
+def _known(a):
+    # a series of order a known to work; exact (zero) when a is math.inf
+    return a, 0 if a < math.inf else a
+
+
+_ZERO = (math.inf, math.inf)
+
+
+def _times(x, y):
+    return x[0] + y[0], min(x[1] + y[0], y[1] + x[0])
+
+
+def _aligned(f):
+    # an XSeries keeps one precision: all but exact zeros drop to the least
+    low = min(e for _, e in f)
+    return [(o, min(e, low) if o < math.inf else e) for o, e in f]
+
+
+def _sum(terms):
+    return min(o for o, _ in terms), min(e for _, e in terms)
+
+
+def _product(f, g):
+    return _aligned([_sum([_times(f[j], g[k - j]) for j in range(k + 1)])
+                     for k in range(len(f))])
+
+
+def _value_times(a, f):
+    # series_from_ratfun([a]_q, work) * f
+    return _product(f, [_known(q_rational(a).order)] + [_ZERO] * len(f))
+
+
+def _substituted(f, c):
+    # f.substitute_x(c): x^k picks up c^k, built one factor at a time
+    out, power = [], (0, math.inf)
+    for x in f:
+        out.append(_times(x, power))
+        power = _times(power, c)
+    return _aligned(out)
+
+
+def _quotient(f, c, orders):
+    # f / xseries([1, -c]), whose coefficients have the given orders:
+    # out_k = (f_k + c out_(k-1)) / lead, and dividing by the lead (order
+    # 0, known to c's precision) keeps min(p1, p2 + ord)
+    out = []
+    for k, x in enumerate(f):
+        acc = _sum([x, _times(c, out[-1])]) if out else x
+        out.append((orders[k], min(acc[1], c[1] + orders[k])))
+    return _aligned(out)
+
+
+def _pad(*shapes):
+    return max(0, -min(e for f in shapes for _, e in f))
 
 
 def _combine(f, factor, sign):
@@ -335,21 +372,26 @@ def _combine(f, factor, sign):
 
 def _shift_one_check(series_form, sign):
     # two routes to the index shifted by one: rescale x by q and fold in
-    # the trivial factor, or keep x and fold in the brace factor
+    # the trivial factor, or keep x and fold in the brace factor; only
+    # the brace factor costs precision
     def check(binding, mode, precision, xdeg):
         a = binding['alpha']
-
-        def build(work):
-            lhs = series_form(a + 1, xdeg, work)
-            f = series_form(a, xdeg, work)
-            brace = q_brace_series(a, work)
-            one = _combine(_qx(f), 1, sign)
-            two = _combine(f, brace, sign)
-            equal = (lhs.agrees_with(one, xdeg + 1, precision)
-                     and lhs.agrees_with(two, xdeg + 1, precision))
-            return equal, lhs, two
-        return _with_precision_pad(build, precision,
-                                   _brace_deficit(a) * xdeg)
+        f, brace = _family(a, xdeg, sign), (math.floor(a), 0)
+        if sign > 0:
+            # xseries([1, brace]): its exact 1 drops to the brace's precision
+            two = _product(f, [(0, brace[1]), brace] + [_ZERO] * xdeg)
+        else:
+            up = [o for o, _ in _family(a + 1, xdeg, sign)]
+            two = _quotient(f, brace, up)
+        work = precision + _pad(two)
+        lhs = series_form(a + 1, xdeg, work)
+        f = series_form(a, xdeg, work)
+        brace = q_brace_series(a, work)
+        one = _combine(_qx(f), 1, sign)
+        two = _combine(f, brace, sign)
+        equal = (lhs.agrees_with(one, xdeg + 1, precision)
+                 and lhs.agrees_with(two, xdeg + 1, precision))
+        return equal, lhs, two
     return check
 
 
@@ -358,49 +400,55 @@ def _shift_n_check(series_form, sign):
     # one-step factor replaced by the n-step series at rescaled x
     def check(binding, mode, precision, xdeg):
         a, n = binding['alpha'], binding['n']
-
-        def build(work):
-            lhs = series_form(a + n, xdeg, work)
-            f = series_form(a, xdeg, work)
-            g = series_form(n, xdeg, work)
-            brace = q_brace_series(a, work)
-            one = g * f.substitute_x(LaurentSeries.q_power(n))
-            two = g.substitute_x(brace) * f
-            equal = (lhs.agrees_with(one, xdeg + 1, precision)
-                     and lhs.agrees_with(two, xdeg + 1, precision))
-            return equal, lhs, two
-        pad = _shift_n_pad(sign, _brace_deficit(a), xdeg, n)
-        return _with_precision_pad(build, precision, pad)
+        f, g = _family(a, xdeg, sign), _family(n, xdeg, sign)
+        one = _product(g, _substituted(f, (n, math.inf)))
+        two = _product(_substituted(g, (math.floor(a), 0)), f)
+        work = precision + _pad(one, two)
+        lhs = series_form(a + n, xdeg, work)
+        f = series_form(a, xdeg, work)
+        g = series_form(n, xdeg, work)
+        brace = q_brace_series(a, work)
+        one = g * f.substitute_x(LaurentSeries.q_power(n))
+        two = g.substitute_x(brace) * f
+        equal = (lhs.agrees_with(one, xdeg + 1, precision)
+                 and lhs.agrees_with(two, xdeg + 1, precision))
+        return equal, lhs, two
     return check
 
 
-def _dq_check(series_form, rhs_series, sign):
+def _dq_check(series_form, sign):
+    # the difference quotient against [alpha]_q times the neighbouring
+    # series: at alpha - 1 and qx for the binomial family, at alpha + 1
+    # for the inverse one
     def check(binding, mode, precision, xdeg):
         a = binding['alpha']
-
-        def build(work):
-            lhs = q_derivative(series_form(a, xdeg, work))
-            rhs = rhs_series(a, xdeg, work)
-            return lhs.agrees_with(rhs, xdeg, precision), lhs, rhs
-        pad = _derivative_pad(sign, _brace_deficit(a), xdeg)
-        return _with_precision_pad(build, precision, pad)
+        g = _family(a - sign, xdeg, sign)
+        if sign > 0:
+            g = _substituted(g, (1, math.inf))
+        work = precision + _pad(_value_times(a, g))
+        lhs = q_derivative(series_form(a, xdeg, work))
+        g = series_form(a - sign, xdeg, work)
+        rhs = series_from_ratfun(q_rational(a), work) * (
+            _qx(g) if sign > 0 else g)
+        return lhs.agrees_with(rhs, xdeg, precision), lhs, rhs
     return check
 
 
 def _func_eq_check(series_form, sign):
     # q-differential equation relating the derivative to the series
-    # itself (at plain x for the binomial family, at qx for the inverse)
+    # itself (at plain x for the binomial family, at qx for the inverse);
+    # the derivative side is exact in its factors
     def check(binding, mode, precision, xdeg):
         a = binding['alpha']
-
-        def build(work):
-            f = series_form(a, xdeg, work)
-            scale = series_from_ratfun(q_rational(a), work)
-            lhs = q_derivative(f) * xseries([1, sign])
-            rhs = scale * (f if sign > 0 else _qx(f))
-            return lhs.agrees_with(rhs, xdeg, precision), lhs, rhs
-        pad = _derivative_pad(sign, _brace_deficit(a), xdeg)
-        return _with_precision_pad(build, precision, pad)
+        f = _family(a, xdeg, sign)
+        if sign < 0:
+            f = _substituted(f, (1, math.inf))
+        work = precision + _pad(_value_times(a, f))
+        f = series_form(a, xdeg, work)
+        scale = series_from_ratfun(q_rational(a), work)
+        lhs = q_derivative(f) * xseries([1, sign])
+        rhs = scale * (f if sign > 0 else _qx(f))
+        return lhs.agrees_with(rhs, xdeg, precision), lhs, rhs
     return check
 
 
@@ -408,13 +456,10 @@ def _gamma_shift_check(binding, mode, precision, xdeg):
     a = binding['alpha']
     # a product of series known to work erodes exactly the negative
     # order of either factor: [a]_q or gamma(a)
-    slack = max(0, -q_rational(a).order, -_gamma_order(a))
-
-    def build(work):
-        lhs = q_gamma(a + 1, work)
-        rhs = series_from_ratfun(q_rational(a), work) * q_gamma(a, work)
-        return lhs.agrees_with(rhs, precision), lhs, rhs
-    return _with_precision_pad(build, precision, slack)
+    work = precision + max(0, -q_rational(a).order, -_gamma_order(a))
+    lhs = q_gamma(a + 1, work)
+    rhs = series_from_ratfun(q_rational(a), work) * q_gamma(a, work)
+    return lhs.agrees_with(rhs, precision), lhs, rhs
 
 
 def _gamma_binom_check(binding, mode, precision, xdeg):
@@ -432,21 +477,16 @@ def _gamma_binom_check(binding, mode, precision, xdeg):
     o = binomial_order(a, k)
     losses = [-min(g, min(0, g) + o)
               for g in (_gamma_order(a - k + 1), _pochhammer_order(a - k))]
-    slack = max(0, *losses)
-    factor = q_binomial(a, k)
-
-    def build(work):
-        binom = series_from_ratfun(factor, work)
-        gamma_lhs = q_gamma(a + 1, work)
-        gamma_rhs = binom * (q_gamma(k + 1, work)
-                             * q_gamma(a - k + 1, work))
-        poch_lhs = pochhammer_at_q(a, work)
-        poch_rhs = binom * (pochhammer_at_q(k, work)
-                            * pochhammer_at_q(a - k, work))
-        equal = (gamma_lhs.agrees_with(gamma_rhs, precision)
-                 and poch_lhs.agrees_with(poch_rhs, precision))
-        return equal, gamma_lhs, gamma_rhs
-    return _with_precision_pad(build, precision, slack)
+    work = precision + max(0, *losses)
+    binom = series_from_ratfun(q_binomial(a, k), work)
+    gamma_lhs = q_gamma(a + 1, work)
+    gamma_rhs = binom * (q_gamma(k + 1, work) * q_gamma(a - k + 1, work))
+    poch_lhs = pochhammer_at_q(a, work)
+    poch_rhs = binom * (pochhammer_at_q(k, work)
+                        * pochhammer_at_q(a - k, work))
+    equal = (gamma_lhs.agrees_with(gamma_rhs, precision)
+             and poch_lhs.agrees_with(poch_rhs, precision))
+    return equal, gamma_lhs, gamma_rhs
 
 
 def _reflection_check(binding, mode, precision, xdeg):
@@ -557,15 +597,11 @@ def _entries():
                _shift_n_check(negative_binomial_series, -1), **series_only),
         _Entry('DQ_B', 'difference quotient of the deformed (1+x)^a',
                ('alpha',), _s_series_alpha,
-               _dq_check(binomial_series, lambda a, xdeg, work:
-                         series_from_ratfun(q_rational(a), work)
-                         * _qx(binomial_series(a - 1, xdeg, work)), 1),
+               _dq_check(binomial_series, 1),
                **series_only),
         _Entry('DQ_b', 'difference quotient of the deformed 1/(1-x)^a',
                ('alpha',), _s_series_alpha,
-               _dq_check(negative_binomial_series, lambda a, xdeg, work:
-                         series_from_ratfun(q_rational(a), work)
-                         * negative_binomial_series(a + 1, xdeg, work), -1),
+               _dq_check(negative_binomial_series, -1),
                **series_only),
         _Entry('FUNC_EQ_B', 'q-differential equation of the deformed '
                '(1+x)^a', ('alpha',), _s_series_alpha,

@@ -9,26 +9,34 @@ function of q for rational r and a Laurent series for irrational r.
 binom(r, k) is zero for k < 0 by convention, which the Pascal-style
 recurrences rely on.
 
-As series, the binomials of a rational r come from one run of exact
-short factors.  With [r]_q = q^e N / D, the shift law
-[r + t]_q = [t]_q + q^t [r]_q gives, for every integer t,
+As series, the binomials of any upper index come from one run of short
+factors.  The shift law [x + t]_q = [t]_q + q^t [x]_q holds for every
+real x (Morier-Genoud and Ovsienko, "q-deformed rationals and
+q-continued fractions", Forum Math. Sigma 8, 2020), so with D = 1 for
+irrational x and [x]_q = q^e N / D for rational x,
 
-    (1 - q) D [r + t]_q = (1 - q^t) D + q^t q^e (1 - q) N,
+    (1 - q) D [x + t]_q = (1 - q^t) D + q^t (1 - q) D [x]_q
 
-a Laurent polynomial with about deg N + deg D terms, so one step of
-binom(r, k) -> binom(r, k+1) multiplies by the numerator at t = -k and
-divides by D and by 1 - q^(k+1): O(N (deg N + deg D)) for N known
-coefficients, and no exact rational function or gcd is formed.
+for every integer t.  For rational x that is a Laurent polynomial with
+about deg N + deg D terms, and for irrational x it needs one series for
+[x]_q, read once.  One step of binom(x, k) -> binom(x, k+1) multiplies
+by the numerator at t = -k and divides by D and by 1 - q^(k+1): O(N
+(deg N + deg D)) for N known coefficients, and no exact rational
+function or gcd is formed.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 from .errors import DomainError, InsufficientPrecisionError
 from .polynomial import IntPolynomial
-from .qcore import DEFAULT_PRECISION, q_rational, q_real_series
+from .qcore import (DEFAULT_PRECISION, _as_rational, _floor_and_order,
+                    q_rational, q_real_series)
 from .ratfun import QRationalFunction
-from .series import LaurentSeries, _with_precision_pad
+from .series import LaurentSeries
+
+_ONE_MINUS_Q = LaurentSeries.from_polynomial(IntPolynomial((1, -1)))
 
 
 def q_factorial(n):
@@ -76,93 +84,105 @@ def q_binomial(r, k):
     return num / q_factorial(k)
 
 
-def shift_numerator(r):
-    """The exact numerators of the shift law for [r + t]_q.
+def shift_numerator(value, precision=None, **kwargs):
+    """The numerators of the shift law for [x + t]_q.
 
-    Returns (D, f): D is [r]_q's denominator as an exact series and
-    f(t) is the exact series (1 - q^t) D + q^t q^e (1 - q) N, so that
-    [r + t]_q = f(t) / ((1 - q) D) for every integer t.
+    Returns (D, f) with [x + t]_q = f(t) / ((1 - q) D) for every integer
+    t, where f(t) = (1 - q^t) D + q^t (1 - q) D [x]_q.  For rational
+    x, with [x]_q = q^e N / D, D and f(t) are exact.  For irrational x, D
+    is 1 and [x]_q is read once, to `precision` (kwargs go to
+    q_real_series), so f(t) is known below q^(precision + t).
     """
-    rf = q_rational(r)
-    den = LaurentSeries.from_polynomial(rf.den)
-    top = LaurentSeries.from_polynomial(
-        rf.num * IntPolynomial((1, -1))).shift(rf.e)
+    r = _as_rational(value)
+    if r is None:
+        den = LaurentSeries.one()
+        top = _ONE_MINUS_Q * q_real_series(value, precision, **kwargs)
+    else:
+        rf = q_rational(r)
+        den = LaurentSeries.from_polynomial(rf.den)
+        top = LaurentSeries.from_polynomial(
+            rf.num * IntPolynomial((1, -1))).shift(rf.e)
     return den, lambda t: den - den.shift(t) + top.shift(t)
 
 
-def binomial_run(r, shifts, precision, sign=-1):
-    """Binomials of a rational r, each to be placed at q^shifts[k].
+def binomial_run(value, shifts, precision, sign=-1, **kwargs):
+    """Binomials of a rational or real x, each to be placed at q^shifts[k].
 
-    With sign -1 these are binom(r, k)_q, with sign +1 binom(r+k-1, k)_q,
-    for k < len(shifts).  Each is known at least to precision - shifts[k],
-    and a vanishing binomial is the exact zero series.  Step k multiplies
-    by [r + sign k]_q / [k+1]_q in exact factors, so a binomial known to
-    w plus its order (binomial_order) passes that w on; w is cut to what
-    the remaining binomials need before every step.
+    With sign -1 these are binom(x, k)_q, with sign +1 binom(x+k-1, k)_q,
+    for k < len(shifts).  Each is known at least to precision - shifts[k]
+    (a shift of math.inf asks for nothing: that binomial is only a step
+    towards later ones).  A vanishing binomial is the exact zero series;
+    once no remaining binomial shows below q^precision the run stops, and
+    the rest are zero series known to their orders.
+
+    Step k multiplies by [x + sign k]_q / [k+1]_q as f(sign k) / D /
+    (1 - q^(k+1)) (shift_numerator), and the orders of these factors come
+    from the floor of x and the order of its fractional part.  A binomial
+    known to w beyond its order keeps that w through an exact factor, and
+    w is cut before every step to what the remaining binomials need.  For
+    irrational x, f(t) is known to P + t - ord [x + t]_q beyond its order
+    when [x]_q is read to P, and a product keeps the smaller of its
+    factors' (series.py: mul is min(p1 + ord2, p2 + ord1)), so [x]_q is
+    read once, to the largest w + ord [x + t]_q - t of the steps taken.
+    A binomial that still falls short raises InsufficientPrecisionError;
+    with the exact orders of rationals and periodic continued fractions
+    none does.
     """
-    lows = [binomial_order(r + k - 1 if sign > 0 else r, k) + shift
-            for k, shift in enumerate(shifts)]
+    n, b = _floor_and_order(value, **kwargs)
+    steps = [_factor_order(n, b, sign * k) for k in range(len(shifts) - 1)]
+    orders = list(itertools.accumulate(steps, initial=0))
+    lows = [o + s for o, s in zip(orders, shifts)]
     works = [max(0, precision - min(lows[k:])) for k in range(len(lows))]
     if not works:
         return []
-    den, numerator = shift_numerator(r)
+    taken = next((k for k in range(len(steps)) if not works[k + 1]),
+                 len(steps))
     run = LaurentSeries.one().truncate(works[0])
     out = [run]
-    for k in range(len(works) - 1):
+    if taken:
+        den, numerator = shift_numerator(
+            value, max(works[k + 1] + steps[k] - sign * k
+                       for k in range(taken)), **kwargs)
+    for k in range(taken):
         run = run.truncate(run.precision - works[k] + works[k + 1])
         run = (run * numerator(sign * k) / den
                / (1 - LaurentSeries.q_power(k + 1)))
+        if run.precision < precision - shifts[k + 1]:
+            raise InsufficientPrecisionError(
+                f'binomial {k + 1} of {value} reached precision '
+                f'{run.precision}, not {precision - shifts[k + 1]}')
         out.append(run)
-    return out
+    return out + [LaurentSeries.zero(o) for o in orders[len(out):]]
 
 
-def binomial_order(r, k):
-    """q-adic order of binom(r, k)_q, computed from the order of [r]_q.
+def _factor_order(n, b, t):
+    # ord [x + t]_q from (n, b) = _floor_and_order(x)
+    f = n + t
+    return 0 if f > 0 else b if f == 0 else f
 
-    Returns math.inf when the coefficient vanishes (integer r with
-    0 <= r < k).  Used to drive series truncation, so it must be exact.
+
+def binomial_order(value, k):
+    """q-adic order of binom(value, k)_q, the sum of its factors' orders.
+
+    Returns math.inf when the coefficient vanishes (integer value with
+    0 <= value < k).  Used to drive series truncation, so it must be
+    exact: it is for rationals and periodic continued fractions.
     """
     if k < 0:
         return math.inf
-    if k == 0:
-        return 0
-    r = Fraction(r)
-    n = math.floor(r)
-    if r.denominator == 1:
-        return 0 if k <= n else (math.inf if n >= 0 else n * k - k * (k - 1) // 2)
-    if k <= n:
-        return 0
-    if n >= 0:
-        b = q_rational(r - n).order
-        return b - (k - n) * (k - n - 1) // 2
-    return n * k - k * (k - 1) // 2
+    n, b = _floor_and_order(value)
+    return sum(_factor_order(n, b, -j) for j in range(k))
 
 
 def q_binomial_series(value, k, precision=DEFAULT_PRECISION, **kwargs):
     """binom(value, k)_q as a Laurent series, for real or rational value.
 
-    A single stabilized series for [value]_q is reused for every factor
-    [value - j]_q through the integer shift law, so irrational upper
-    indices cost one stabilization run regardless of k.
+    The last binomial of one binomial_run, so an irrational upper index
+    reads its deformation once, whatever k is.
     """
     if k < 0:
         return LaurentSeries.zero()
     if k == 0:
         return LaurentSeries.one()
-    # negative orders of the factors erode precision in the product;
-    # start with a generous pad and verify afterwards
-    def build(work):
-        top = q_real_series(value, work, **kwargs)
-        out = top
-        for j in range(1, k):
-            top = (top - 1).shift(-1)  # [v - j] from [v - j + 1]
-            out = out * top
-        out = out / LaurentSeries.from_polynomial(
-            q_factorial_poly(k)).truncate(work)
-        if out.precision < precision:
-            raise InsufficientPrecisionError(
-                f'binomial series for {value}, k={k} will not reach '
-                f'precision {precision}')
-        return out.truncate(precision)
-    return _with_precision_pad(build, precision, k + k * (k + 1) // 2 + 4,
-                              width=k + 1)
+    run = binomial_run(value, [math.inf] * k + [0], precision, **kwargs)
+    return run[-1].truncate(precision)

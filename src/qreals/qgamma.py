@@ -42,24 +42,30 @@ from fractions import Fraction
 from .errors import DomainError, InsufficientPrecisionError, IntegralityError
 from .qcore import DEFAULT_PRECISION, q_rational
 from .qbinomial import binomial_order, binomial_run, shift_numerator
-from .series import LaurentSeries, series, series_from_ratfun
+from .series import LaurentSeries, _canonical, series_from_ratfun
 
 
 def scalar_binomial_series(value, precision):
     """(1-q)^(1-value) as a power series with exact rational coefficients.
 
     The coefficient of q^n is the classical (not deformed) binomial
-    coefficient binom(value + n - 2, n), built by the falling-factorial
-    product formula.
+    coefficient binom(value + n - 2, n), prod_{i<=n} (a + (i - 2) b)/(i b)
+    for value = a/b, built as integer numerators over the common
+    denominator prod_{i<N} i b for N coefficients.
     """
     r = Fraction(value)
-    coeffs = []
-    c = Fraction(1)
-    for n in range(max(precision, 0)):
-        if n:
-            c = c * (r + n - 2) / n
-        coeffs.append(c)
-    return series(0, coeffs, precision)
+    a, b = r.numerator, r.denominator
+    count = max(precision, 0)
+    nums = [1]
+    for i in range(1, count):
+        nums.append(nums[-1] * (a + (i - 2) * b))
+    # bring nums[n] / prod_{i<=n} (i b) over the common denominator
+    den = 1
+    for n in range(count - 1, 0, -1):
+        nums[n] *= den
+        den *= n * b
+    nums[0] = den
+    return _canonical(0, nums[:count], den, precision)
 
 
 def gamma_convergence_report(value, count=8):
@@ -82,7 +88,7 @@ def _kernel_series(a, precision):
     # sum over k of (-1)^k q^(k(k+1)/2) binom(a, k)_q, for a >= 0; terms
     # whose order passes precision are dropped, and once k > floor(a)
     # the orders only grow, so the loop is finite.  binomial_run knows
-    # each binomial's order, so one run reaches precision.
+    # each binomial's order, so one run reaches precision (or raises).
     n = math.floor(a)
     lows = []
     for k in itertools.count():
@@ -95,10 +101,6 @@ def _kernel_series(a, precision):
     for k, binom in enumerate(binomial_run(a, shifts, precision)):
         if lows[k] >= precision:
             continue
-        if binom.precision < precision - shifts[k]:
-            raise InsufficientPrecisionError(
-                f'kernel series at {a} will not reach precision '
-                f'{precision}')
         term = binom.truncate(precision - shifts[k]).shift(shifts[k])
         total = total + (-term if k % 2 else term)
     return total

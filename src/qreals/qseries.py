@@ -24,21 +24,22 @@ variable y: since {a+j}_q = q^j {a}_q, every factor is 1 + s q^j x or
 x^k y^m coefficients, integer power series in q, in O(N) each.  The
 product is then a polynomial in y of degree xdeg per power of x, and
 {a}_q is substituted once at the end through its first xdeg powers; one
-code path serves rational and irrational braces.  For rational a the sum
-routes advance binom(a, k) -> binom(a, k+1) (or binom(a+k-1, k) ->
-binom(a+k, k+1)) by the exact short factors of qbinomial.binomial_run,
-with no exact rational function formed.
+code path serves rational and irrational braces.  The sum routes
+advance binom(a, k) -> binom(a, k+1) (or binom(a+k-1, k) ->
+binom(a+k, k+1)) by the short factors of qbinomial.binomial_run, one
+run for every a: exact for rational a, and built from one series for
+[a]_q for irrational a.
 
 Precision policy: the series and product builders return exactly the
 q-precision they are given, sized up front.  With d = max(0, -ord {a}_q),
 the product routes need the x^k y^m coefficient to precision + m d, and
 the brace to precision + (xdeg - 1) d, since its m-th power loses
-(m - 1) d; a result that still falls short raises
-InsufficientPrecisionError.  The rational sum routes read each
-binomial's order from qbinomial.binomial_order, and an exact factor
-keeps the precision beyond the order, so one run reaches the target;
-binomials that vanish (integer a) stay exact zeros.  The sum route for
-irrational input retries through series._with_precision_pad.
+(m - 1) d; d comes from floor(a), so the brace is expanded once.  The
+sum routes get one binomial_run, sized from the closed-form orders of
+the binomials' factors, which for irrational a also size its single
+read of [a]_q; binomials that vanish (integer a) stay exact zeros.  A
+result that still falls short raises InsufficientPrecisionError;
+nothing is retried.
 """
 
 import math
@@ -47,11 +48,10 @@ from fractions import Fraction
 
 from .errors import InsufficientPrecisionError
 from .polynomial import IntPolynomial
-from .qbinomial import binomial_run, q_binomial, q_factorial_poly
-from .qcore import (DEFAULT_PRECISION, RealSpec, q_brace_series,
-                    q_real_series)
+from .qbinomial import binomial_run, q_binomial
+from .qcore import DEFAULT_PRECISION, _floor_and_order, q_brace_series
 from .ratfun import QRationalFunction
-from .series import LaurentSeries, series, _with_precision_pad
+from .series import LaurentSeries, series
 
 
 def _coerce_coeff(c):
@@ -314,29 +314,6 @@ def xseries(coeffs, xlength=None):
     return _normalize(coeffs, xlength)
 
 
-def _is_rational_input(value):
-    if isinstance(value, (int, Fraction)):
-        return True
-    return isinstance(value, RealSpec) and value.is_rational
-
-
-def _as_fraction(value):
-    return Fraction(value) if isinstance(value, (int, Fraction)) \
-        else value.value
-
-
-def _qint_series(n):
-    if n == 0:
-        return LaurentSeries.zero(math.inf)
-    if n > 0:
-        return series(0, (1,) * n)
-    return series(n, (-1,) * (-n))
-
-
-def _factorial_series(k):
-    return LaurentSeries.from_polynomial(q_factorial_poly(k))
-
-
 def binomial_coefficients(r, count):
     """Exact x-coefficients of the deformed (1+x)^r, for rational r.
 
@@ -353,34 +330,11 @@ def negative_binomial_coefficients(r, count):
     return tuple([q_binomial(r + k - 1, k) for k in range(count)])
 
 
-def _rational_sum_form(r, xdeg, precision, sign, weight):
+def _binomial_sum(value, xdeg, precision, sign, weight, kwargs):
     shifts = [weight(k) for k in range(xdeg + 1)]
-    run = binomial_run(r, shifts, precision, sign)
+    run = binomial_run(value, shifts, precision, sign, **kwargs)
     return _normalize(tuple([c.shift(w) for c, w in zip(run, shifts)]),
                       xdeg + 1, precision)
-
-
-def _sum_form(value, xdeg, precision, offset, weight, kwargs):
-    # all factors [value + n] come from one stabilized series for
-    # [value] through the integer shift law [value + n] = [n] + q^n [value]
-    def build(work):
-        top = q_real_series(value, work, **kwargs)
-        coeffs = []
-        for k in range(xdeg + 1):
-            n = offset(k)
-            acc = LaurentSeries.one()
-            for j in range(k):
-                acc = acc * (_qint_series(n - j) + top.shift(n - j))
-            c = (acc / _factorial_series(k)).shift(weight(k))
-            if c.precision < precision:
-                raise InsufficientPrecisionError(
-                    f'series for {value} will not reach precision '
-                    f'{precision}')
-            coeffs.append(c.truncate(precision))
-        return _normalize(tuple(coeffs), xdeg + 1, precision)
-    return _with_precision_pad(build, precision,
-                              xdeg + xdeg * (xdeg + 1) // 2 + 4,
-                              width=xdeg + 1)
 
 
 def binomial_series(value, xdeg=8, precision=DEFAULT_PRECISION, **kwargs):
@@ -389,31 +343,23 @@ def binomial_series(value, xdeg=8, precision=DEFAULT_PRECISION, **kwargs):
     The x^k coefficient is q^(k(k-1)/2) binom(value, k)_q; value may be
     a rational or any real specification accepted by q_real_series.
     """
-    if _is_rational_input(value):
-        return _rational_sum_form(_as_fraction(value), xdeg, precision, -1,
-                                  weight=lambda k: k * (k - 1) // 2)
-    return _sum_form(value, xdeg, precision, offset=lambda k: 0,
-                     weight=lambda k: k * (k - 1) // 2, kwargs=kwargs)
+    return _binomial_sum(value, xdeg, precision, -1,
+                         lambda k: k * (k - 1) // 2, kwargs)
 
 
 def negative_binomial_series(value, xdeg=8, precision=DEFAULT_PRECISION,
                              **kwargs):
     """Deformation of 1/(1-x)^value; x^k coefficient binom(value+k-1, k)_q."""
-    if _is_rational_input(value):
-        return _rational_sum_form(_as_fraction(value), xdeg, precision, 1,
-                                  weight=lambda k: 0)
-    return _sum_form(value, xdeg, precision, offset=lambda k: k - 1,
-                     weight=lambda k: 0, kwargs=kwargs)
+    return _binomial_sum(value, xdeg, precision, 1, lambda k: 0, kwargs)
 
 
 def _product_form(value, xdeg, precision, sign, braces_on_top, kwargs):
-    # the brace order, read off its series at the target precision, sizes
-    # the brace's own working precision: its m-th power loses (m - 1) d
-    brace = q_brace_series(value, precision, **kwargs)
-    d = max(0, -brace.order)
-    pad = max(0, xdeg - 1) * d
-    if pad:
-        brace = q_brace_series(value, precision + pad, **kwargs)
+    # d = -ord {a}_q sizes the brace's working precision, since its m-th
+    # power loses (m - 1) d; ord {a}_q = floor(a), as {a + n}_q =
+    # q^n {a}_q and {f}_q = 1 + O(q) for 0 <= f < 1
+    d = max(0, -_floor_and_order(value, **kwargs)[0])
+    brace = q_brace_series(value, precision + max(0, xdeg - 1) * d,
+                           **kwargs)
     out = _expand_product(brace, xdeg, precision, sign, braces_on_top)
     if out.precision < precision:
         raise InsufficientPrecisionError(

@@ -49,9 +49,10 @@ place, and freed tuples of the shrunk sizes then fill their free lists
 gives back and that this integer code, which allocates little, rarely
 triggers.
 
-Builders that lose precision to negative orders size their working
-precision up front where the loss is known in closed form; the others
-go through _with_precision_pad, the one capped retry loop.
+There is no retry loop.  A builder that loses precision to negative
+orders sizes its working precision up front from the closed-form orders
+of what it multiplies and divides, through the rules above, and raises
+InsufficientPrecisionError if the result still falls short.
 """
 
 import math
@@ -363,24 +364,6 @@ def series_from_ratfun(rf, precision):
         return LaurentSeries.zero(precision)
     nums, den = _divide(rf.num.coeffs, rf.den.coeffs, n)
     return _canonical(rf.e, nums, den, precision)
-
-
-def _with_precision_pad(build, precision, pad, width=1):
-    """build(precision + pad), doubling pad while it falls short.
-
-    The one retry loop for results whose precision loss has no known
-    bound: build raises InsufficientPrecisionError when its working
-    precision was eaten, and pad then grows to max(2 * pad, 4).  Past
-    64 * width * (precision + 1) the last error propagates; width lets
-    a builder whose loss grows with a degree scale that cap.
-    """
-    while True:
-        try:
-            return build(precision + pad)
-        except InsufficientPrecisionError:
-            if pad > 64 * width * (precision + 1):
-                raise
-            pad = max(2 * pad, 4)
 
 
 def _canonical(order, nums, den, precision):

@@ -1,14 +1,17 @@
 """The q-binomial builders against the direct algorithms they replaced.
 
 The product routes expand their products as polynomials in the brace,
-the sum routes and the Gamma kernel advance their binomials by exact
-short factors, and pochhammer_at_q divides by exact polynomials.  The
-references below are the direct algorithms: every brace factor a
-full-length series, every sum coefficient an exact rational function
-expanded by series_from_ratfun, every Gamma kernel factor [a-k]/[k+1] a
-full-length series, and every Pochhammer divisor the expanded series
-1 - q^j {a}_q.  Whole to_json() outputs must agree, exact zeros and
-precisions included.
+the sum routes, q_binomial_series and the Gamma kernel advance their
+binomials by short factors, and pochhammer_at_q divides by exact
+polynomials.  The references below are the direct algorithms: every
+brace factor a full-length series, every rational sum coefficient an
+exact rational function expanded by series_from_ratfun, every
+irrational sum coefficient a product of full-length [value + n] series
+divided by [k]_q!, every Gamma kernel factor [a-k]/[k+1] a full-length
+series, and every Pochhammer divisor the expanded series 1 - q^j {a}_q.
+References whose precision loss has no closed form rebuild at a doubled
+pad until they reach their target.  Whole to_json() outputs must agree,
+exact zeros and precisions included.
 """
 
 import itertools
@@ -17,22 +20,32 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qreals import PeriodicContinuedFraction
+from qreals import ConvergentSequence, PeriodicContinuedFraction
 from qreals.errors import InsufficientPrecisionError
-from qreals.qbinomial import binomial_order
-from qreals.qcore import q_brace, q_brace_series, q_rational
+from qreals.qbinomial import (binomial_order, q_binomial_series,
+                              q_factorial_poly)
+from qreals.qcore import q_brace, q_brace_series, q_rational, q_real_series
 from qreals.qgamma import _kernel_series, pochhammer_at_q
 from qreals.qseries import (XSeries, binomial_coefficients, binomial_product,
                             binomial_series, generalized_pochhammer,
                             negative_binomial_coefficients,
                             negative_binomial_product,
                             negative_binomial_series, xseries)
-from qreals.series import (LaurentSeries, series_from_ratfun,
-                           _with_precision_pad)
+from qreals.series import LaurentSeries, series, series_from_ratfun
 
 
 # ---------------------------------------------------------------------------
 # references
+
+def padded(build, precision, pad):
+    """build(precision + pad), doubling pad while the build falls short."""
+    while True:
+        try:
+            return build(precision + pad)
+        except InsufficientPrecisionError:
+            if pad > 64 * (precision + 1):
+                raise
+            pad = max(2 * pad, 4)
 
 def reference_product(value, xdeg, precision, sign, braces_on_top):
     brace = q_brace_series(value, precision)
@@ -56,6 +69,54 @@ def reference_product(value, xdeg, precision, sign, braces_on_top):
 def reference_sum(r, xdeg, precision, exact_coefficients):
     return xseries([series_from_ratfun(c, precision)
                     for c in exact_coefficients(r, xdeg + 1)], xdeg + 1)
+
+
+def qint_series(n):
+    if n == 0:
+        return LaurentSeries.zero()
+    if n > 0:
+        return series(0, (1,) * n)
+    return series(n, (-1,) * (-n))
+
+
+def reference_irrational_binomial(top, k, offset):
+    # prod_{j<k} [value + offset - j] / [k]_q!, each factor a full-length
+    # series from [value]_q through [value + n] = [n] + q^n [value]
+    acc = LaurentSeries.one()
+    for j in range(k):
+        n = offset - j
+        acc = acc * (qint_series(n) + top.shift(n))
+    return acc / LaurentSeries.from_polynomial(q_factorial_poly(k))
+
+
+def reference_irrational_sum(value, xdeg, precision, sign):
+    # x^k: q^(k(k-1)/2) binom(value, k) (sign -1) or binom(value+k-1, k)
+    def build(work):
+        top = q_real_series(value, work)
+        coeffs = []
+        for k in range(xdeg + 1):
+            offset, weight = ((0, k * (k - 1) // 2) if sign < 0
+                              else (k - 1, 0))
+            c = reference_irrational_binomial(top, k, offset).shift(weight)
+            if c.precision < precision:
+                raise InsufficientPrecisionError('short')
+            coeffs.append(c.truncate(precision))
+        return xseries(coeffs, xdeg + 1).truncate_q(precision)
+    return padded(build, precision, 0)
+
+
+def reference_q_binomial_series(value, k, precision):
+    if k < 0:
+        return LaurentSeries.zero()
+    if k == 0:
+        return LaurentSeries.one()
+
+    def build(work):
+        out = reference_irrational_binomial(q_real_series(value, work), k, 0)
+        if out.precision < precision:
+            raise InsufficientPrecisionError('short')
+        return out.truncate(precision)
+    return padded(build, precision, 0)
 
 
 def reference_kernel(a, precision):
@@ -84,7 +145,7 @@ def reference_kernel(a, precision):
                 run = run * series_from_ratfun(f, p_mul)
                 p_div = max(run.precision - binomial_order(a, k + 1), 0) + 2
                 run = run / series_from_ratfun(q_rational(k + 1), p_div)
-    return _with_precision_pad(build, precision, 4)
+    return padded(build, precision, 4)
 
 
 def reference_pochhammer(r, precision):
@@ -99,7 +160,7 @@ def reference_pochhammer(r, precision):
         if out.precision < precision:
             raise InsufficientPrecisionError('short')
         return out.truncate(precision)
-    return _with_precision_pad(build, precision, 2 * max(0, -o) + 2)
+    return padded(build, precision, 2 * max(0, -o) + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +173,25 @@ def rationals(draw, low=-3, high=3):
     return Fraction(draw(st.integers(min_value=low * den,
                                      max_value=high * den - 1)), den)
 
+
+def pell_shifted(sign, shift, label):
+    # sign * sqrt(2) + shift through the Pell convergents of sqrt(2)
+    def convergents():
+        for c in PeriodicContinuedFraction((1,), (2,)).convergents():
+            yield sign * c + shift
+    return ConvergentSequence(convergents, label)
+
+
+# sqrt(2) - 1 lies in (0, 1), -sqrt(2) and sqrt(2) - 3 below -1
+CONVERGENT = [pell_shifted(1, -1, 'sqrt(2) - 1'),
+              pell_shifted(-1, 0, '-sqrt(2)'),
+              pell_shifted(1, -3, 'sqrt(2) - 3')]
+cf_terms = st.integers(min_value=1, max_value=4)
+irrationals = st.one_of(
+    st.builds(PeriodicContinuedFraction,
+              st.lists(cf_terms, max_size=2).map(tuple),
+              st.lists(cf_terms, min_size=1, max_size=3).map(tuple)),
+    st.sampled_from(CONVERGENT))
 
 PERIODIC = [PeriodicContinuedFraction((2,), (2,)),
             PeriodicContinuedFraction((1,), (2,)),
@@ -151,6 +231,26 @@ def test_sum_matches_exact_binomials(route, r, xdeg, precision):
     fn, exact_coefficients = route
     want = reference_sum(r, xdeg, precision, exact_coefficients)
     assert fn(r, xdeg, precision).to_json() == want.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SUMS), irrationals, xdegs,
+       st.integers(min_value=1, max_value=32))
+def test_irrational_sum_matches_full_length_factors(route, value, xdeg,
+                                                    precision):
+    fn = route[0]
+    sign = -1 if fn is binomial_series else 1
+    want = reference_irrational_sum(value, xdeg, precision, sign)
+    assert fn(value, xdeg, precision).to_json() == want.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(irrationals, rationals()),
+       st.integers(min_value=-1, max_value=6),
+       st.integers(min_value=1, max_value=32))
+def test_q_binomial_series_matches_full_length_factors(value, k, precision):
+    want = reference_q_binomial_series(value, k, precision)
+    assert q_binomial_series(value, k, precision).to_json() == want.to_json()
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,10 +6,12 @@ SystemExit; failures detected later return the code.
 """
 
 import json
+import time
 
 import pytest
 
-from qreals import cli
+from qreals import (binomial_product, cli, negative_binomial_product,
+                    parse_real_spec)
 from qreals.cli import main
 from qreals.identities import IdentityCase, SuiteReport
 
@@ -174,6 +176,21 @@ def test_series_negative_family(capsys):
                        '--prec', '5')
     assert code == 0
     assert out.startswith('b_{1/2}(q, x):')
+
+
+@pytest.mark.parametrize('family, value, prec', [
+    ('B', '[1;(1)]', '16'), ('B', '[1;(1)]', '32'), ('b', '[2;(1)]', '16')])
+def test_series_of_period_one_values(capsys, family, value, prec):
+    # the sum route reads [value]_q once, near the requested precision,
+    # so the slowly converging period-one values stay within reach
+    started = time.perf_counter()
+    code, out, _ = run(capsys, 'series', family, value, '--prec', prec,
+                       '--format', 'json')
+    assert code == 0 and time.perf_counter() - started < 1
+    product = binomial_product if family == 'B' else \
+        negative_binomial_product
+    want = product(parse_real_spec(value), cli.DEFAULT_XDEG, int(prec))
+    assert json.loads(out)['result']['value'] == want.to_json()
 
 
 def test_series_bad_family_is_usage(capsys):

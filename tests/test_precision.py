@@ -1,16 +1,19 @@
 """The precision contract: every builder returns exactly the precision it
 was asked for, the coefficients below it do not depend on the working
-precision, and closed-form working precisions expand only once."""
+precision, and closed-form working precisions expand only once: one read
+of an irrational value per binomial builder, one build per checker side,
+and checker pads that are the smallest that work."""
 
 from fractions import Fraction
 
 import pytest
 
 import qreals.identities as identities
+import qreals.qbinomial as qbinomial
 import qreals.qgamma as qgamma
 import qreals.qseries as qseries
-from qreals import (InsufficientPrecisionError, PeriodicContinuedFraction,
-                    verify_identity)
+from qreals import (ConvergentSequence, InsufficientPrecisionError,
+                    PeriodicContinuedFraction, verify_identity)
 from qreals.qbinomial import q_binomial_series
 from qreals.qcore import q_brace
 from qreals.qgamma import (gamma_power, gamma_reflection, pochhammer_at_q,
@@ -18,7 +21,6 @@ from qreals.qgamma import (gamma_power, gamma_reflection, pochhammer_at_q,
 from qreals.qseries import (binomial_product, binomial_series,
                             generalized_pochhammer, negative_binomial_product,
                             negative_binomial_series)
-from qreals.series import _with_precision_pad
 
 P = 10
 SILVER = PeriodicContinuedFraction((2,), (2,))
@@ -111,30 +113,35 @@ def test_product_expands_once(monkeypatch, fn, r):
     assert len(calls) == 1
 
 
-def test_padding_doubles_until_the_build_succeeds():
-    pads = []
-
-    def build(work):
-        pads.append(work - P)
-        if work < P + 20:
-            raise InsufficientPrecisionError('short')
-        return work
-    assert _with_precision_pad(build, P, 0) == P + 32
-    assert pads == [0, 4, 8, 16, 32]
+def _inv_silver():
+    # sqrt(2) - 1, the fractional part of the silver ratio, in (0, 1)
+    for c in SILVER.convergents():
+        yield c - 2
 
 
-@pytest.mark.parametrize('width, last', [(1, 1024), (3, 4096)])
-def test_padding_gives_up_at_its_cap(width, last):
-    pads = []
+IRRATIONALS = [SILVER, PeriodicContinuedFraction((), (1,)),
+               ConvergentSequence(_inv_silver, 'sqrt(2) - 1')]
 
-    def build(work):
-        pads.append(work - P)
-        raise InsufficientPrecisionError('never enough')
-    with pytest.raises(InsufficientPrecisionError, match='never enough'):
-        _with_precision_pad(build, P, 2, width=width)
-    # the pad stops growing once it exceeds 64 * width * (P + 1)
-    assert pads[-1] == last and pads[-2] <= 64 * width * (P + 1) < last
-    assert pads == [2 ** i for i in range(1, len(pads) + 1)]
+
+@pytest.mark.parametrize('value', IRRATIONALS, ids=str)
+@pytest.mark.parametrize('build', [
+    lambda v: binomial_series(v, 5, P),
+    lambda v: negative_binomial_series(v, 5, P),
+    lambda v: q_binomial_series(v, 1, P),
+    lambda v: q_binomial_series(v, 4, P)],
+    ids=['B', 'b', 'binom1', 'binom4'])
+def test_irrational_binomials_read_the_value_once(monkeypatch, build, value):
+    calls = _counting(monkeypatch, qbinomial, 'q_real_series')
+    build(value)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize('fn', PRODUCTS)
+@pytest.mark.parametrize('value', VALUES + [SILVER], ids=str)
+def test_product_expands_the_brace_once(monkeypatch, fn, value):
+    calls = _counting(monkeypatch, qseries, 'q_brace_series')
+    fn(value, 5, P)
+    assert len(calls) == 1
 
 
 CHECKED = ['SHIFT_B', 'SHIFT_b', 'DQ_B', 'DQ_b', 'FUNC_EQ_B', 'FUNC_EQ_b',
@@ -142,8 +149,9 @@ CHECKED = ['SHIFT_B', 'SHIFT_b', 'DQ_B', 'DQ_b', 'FUNC_EQ_B', 'FUNC_EQ_b',
 
 
 def _checker_panel():
+    # alpha = 0 adds an exact brace and an exactly vanishing [alpha]_q
     for name in CHECKED:
-        for a in VALUES:
+        for a in VALUES + [Fraction(0)]:
             if name.endswith('n'):
                 for n in (-3, -1, 0, 2, 5):
                     yield name, {'alpha': a, 'n': n}
@@ -151,32 +159,43 @@ def _checker_panel():
                 yield name, {'alpha': a}
 
 
-def _count_restarts(monkeypatch):
-    restarts = []
-
-    def counting(build, precision, pad, width=1):
-        def counted(work):
-            try:
-                return build(work)
-            except InsufficientPrecisionError:
-                restarts.append(work - precision)
-                raise
-        return _with_precision_pad(counted, precision, pad, width)
-    monkeypatch.setattr(identities, '_with_precision_pad', counting)
-    return restarts
+# the builds each checker makes, one per side of its statement
+SIDES = {'SHIFT_B': 3, 'SHIFT_b': 3, 'SHIFT_Bn': 4, 'SHIFT_bn': 4,
+         'DQ_B': 2, 'DQ_b': 2, 'FUNC_EQ_B': 1, 'FUNC_EQ_b': 1,
+         'GAMMA_SHIFT': 2, 'GAMMA_BINOM': 6}
 
 
-def _assert_no_restart(restarts, panel, **settings):
+def _count_builds(monkeypatch):
+    # (name, working precision) of every build a checker makes
+    builds = []
+
+    def count(module, name, at):
+        inner = getattr(module, name)
+
+        def counted(*args):
+            builds.append((name, args[at]))
+            return inner(*args)
+        monkeypatch.setattr(module, name, counted)
+    count(qseries, '_binomial_sum', 2)
+    for name in ('q_brace_series', 'q_gamma', 'pochhammer_at_q'):
+        count(identities, name, 1)
+    return builds
+
+
+def _assert_built_once(builds, panel, **settings):
     for name, binding in panel:
-        before = len(restarts)
+        before = len(builds)
         case = verify_identity(name, binding, precision=P, **settings)
         assert case.ok
-        assert len(restarts) == before, (name, binding, restarts[before:])
+        made = builds[before:]
+        # every side built once, all at one working precision
+        assert len(made) == SIDES[name], (name, binding, made)
+        assert len({work for _, work in made}) == 1, (name, binding, made)
 
 
 @pytest.mark.parametrize('xdeg', [3, 5, 8])
 def test_identity_checkers_start_from_a_sufficient_pad(monkeypatch, xdeg):
-    _assert_no_restart(_count_restarts(monkeypatch), _checker_panel(),
+    _assert_built_once(_count_builds(monkeypatch), _checker_panel(),
                        xdeg=xdeg)
 
 
@@ -184,7 +203,28 @@ def test_gamma_checkers_start_from_a_sufficient_slack(monkeypatch):
     panel = [('GAMMA_SHIFT', {'alpha': a}) for a in GAMMA_ARGS]
     panel += [('GAMMA_BINOM', {'alpha': a, 'k': k})
               for a in GAMMA_ARGS for k in (1, 2, 4)]
-    _assert_no_restart(_count_restarts(monkeypatch), panel)
+    _assert_built_once(_count_builds(monkeypatch), panel)
+
+
+@pytest.mark.parametrize('xdeg', [3, 5, 8])
+def test_identity_checker_pads_are_the_smallest_that_work(monkeypatch,
+                                                          xdeg):
+    derived = identities._pad
+    pads = []
+
+    def recorded(*shapes):
+        pads.append(derived(*shapes))
+        return pads[-1]
+
+    for name, binding in _checker_panel():
+        monkeypatch.setattr(identities, '_pad', recorded)
+        assert verify_identity(name, binding, precision=P, xdeg=xdeg).ok
+        pad = pads[-1]
+        if pad:
+            # one less falls short, and the checker raises
+            monkeypatch.setattr(identities, '_pad', lambda *shapes: pad - 1)
+            with pytest.raises(InsufficientPrecisionError):
+                verify_identity(name, binding, precision=P, xdeg=xdeg)
 
 
 @pytest.mark.parametrize('r', GAMMA_ARGS + [Fraction(7, 3), 3])

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qreals import (DomainError, IntPolynomial, PeriodicContinuedFraction,
-                    QRationalFunction, binomial_order, q_binomial,
-                    q_binomial_series, q_brace, q_factorial, q_pochhammer,
-                    q_rational, q_real_series, ratfun, series_from_ratfun)
+from qreals import (ConvergentSequence, DomainError, IntPolynomial,
+                    PeriodicContinuedFraction, QRationalFunction,
+                    binomial_order, q_binomial, q_binomial_series, q_brace,
+                    q_factorial, q_integer, q_pochhammer, q_rational,
+                    q_real_series, ratfun, series_from_ratfun)
+from qreals.qbinomial import _factor_order
+from qreals.qcore import _floor_and_order
 
 rationals = st.fractions(min_value=-30, max_value=30,
                          max_denominator=9)
@@ -102,6 +105,35 @@ def test_order_formula_spot_values():
     assert binomial_order(3, 5) == math.inf
     assert binomial_order(-2, 3) == -9
     assert binomial_order(Fraction(5, 3), 3) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals, st.integers(min_value=-8, max_value=8))
+def test_factor_orders_match_the_deformation(r, t):
+    # ord [r + t]_q from the floor of r and the order of its fractional
+    # part alone
+    assert _factor_order(*_floor_and_order(r), t) == q_rational(r + t).order
+
+
+def _shifted_pell(sign, shift):
+    def convergents():
+        for c in PeriodicContinuedFraction((1,), (2,)).convergents():
+            yield sign * c + shift
+    return ConvergentSequence(convergents)
+
+
+@pytest.mark.parametrize('value', [
+    PeriodicContinuedFraction((2,), (2,)), PeriodicContinuedFraction((), (1,)),
+    PeriodicContinuedFraction((1, 3), (1, 2)),
+    PeriodicContinuedFraction((), (3, 1, 4)),
+    _shifted_pell(1, -1), _shifted_pell(-1, 0), _shifted_pell(1, -3)])
+def test_factor_orders_of_irrationals_match_their_series(value):
+    # [x + t]_q = [t]_q + q^t [x]_q, read off one series for [x]_q
+    pair = _floor_and_order(value)
+    y = q_real_series(value, 24)
+    for t in range(-8, 9):
+        shifted = series_from_ratfun(q_integer(t), 24 + t) + y.shift(t)
+        assert _factor_order(*pair, t) == shifted.order, t
 
 
 def test_series_route_matches_exact():
