@@ -27,7 +27,7 @@ from .qgamma import q_gamma
 from .qseries import binomial_series, negative_binomial_series
 from .ratfun import QRationalFunction
 from .series import LaurentSeries, series_from_ratfun
-from .snake import SnakeGraph, _weight_polynomial
+from .snake import SnakeGraph
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -219,54 +219,46 @@ def _snake_payload(graph):
 def _cmd_snake(args, started):
     spec = _parse_spec(args.value)
     graph = SnakeGraph(_require_rational(spec, 'the snake model'))
-    base = _snake_payload(graph)
+    payload = _snake_payload(graph)
+    inputs = {'mode': args.mode, 'value': args.value, 'k': args.k}
     if args.mode == 'graph':
         if args.k is not None:
             raise DomainError('the graph view takes no tuple length')
+        del inputs['k']
         lines = [repr(graph), graph.ascii_art(),
                  f'numerator = '
                  f'{_render(graph.numerator_polynomial(), args.latex)}',
                  f'denominator = '
                  f'{_render(graph.denominator_polynomial(), args.latex)}']
-        _emit(args, 'snake', {'mode': args.mode, 'value': args.value},
-              base, lines, started)
     elif args.mode == 'paths':
+        j = args.k or 0
+        paths = graph.paths_with_initial_ups(j)
         if args.k is None:
-            paths = graph.paths
             head = f'{len(paths)} paths for {args.value}:'
         else:
-            paths = graph.paths_with_initial_ups(args.k)
             head = (f'{len(paths)} paths with at least {args.k} initial '
                     f'up steps for {args.value}:')
-        weights = _weight_polynomial(paths)
+        weights = graph.class_polynomial(j) if paths else IntPolynomial.zero()
         lines = [head] + [f'  {p.steps}  weight {p.weight}' for p in paths]
         lines.append(f'weight polynomial = {_render(weights, args.latex)}')
-        payload = dict(base)
         payload['paths'] = [{'steps': p.steps, 'weight': p.weight}
                             for p in paths]
         payload['weights'] = list(weights.coeffs)
-        _emit(args, 'snake',
-              {'mode': args.mode, 'value': args.value, 'k': args.k},
-              payload, lines, started)
     else:
         if args.k is None:
             raise DomainError('tuple enumeration needs a tuple length')
         poly = graph.tuple_polynomial(args.k)
-        sizes = [len(graph.paths_with_initial_ups(j))
-                 for j in range(args.k)]
+        sizes = [graph.class_polynomial(j)(1) for j in range(args.k)]
         lines = [f'{args.k}-tuples of paths for {args.value}: '
                  f'{poly(1)} tuples',
                  f'class sizes: {", ".join(str(s) for s in sizes)}'
                  if sizes else 'class sizes: (empty product)',
                  f'weight polynomial = {_render(poly, args.latex)}']
-        payload = dict(base)
         payload['k'] = args.k
         payload['class_sizes'] = sizes
         payload['tuples'] = poly(1)
         payload['weights'] = list(poly.coeffs)
-        _emit(args, 'snake',
-              {'mode': args.mode, 'value': args.value, 'k': args.k},
-              payload, lines, started)
+    _emit(args, 'snake', inputs, payload, lines, started)
 
 
 def _cmd_identity(args, started):

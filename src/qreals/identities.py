@@ -21,8 +21,8 @@ from fractions import Fraction
 from .errors import DomainError, IntegralityError
 from .polynomial import IntPolynomial
 from .qbinomial import binomial_order, q_binomial, q_factorial, q_pochhammer
-from .qcore import (DEFAULT_PRECISION, q_brace, q_brace_series, q_integer,
-                    q_rational)
+from .qcore import (DEFAULT_PRECISION, order_at_zero, q_brace,
+                    q_brace_series, q_integer, q_rational)
 from .qgamma import (gamma_power, gamma_reflection, pochhammer_at_q, q_gamma,
                      _gamma_order, _pochhammer_order)
 from .qseries import (binomial_product, binomial_series,
@@ -322,7 +322,7 @@ def _times(x, y):
 
 def _aligned(f):
     # an XSeries keeps one precision: all but exact zeros drop to the least
-    low = min(e for _, e in f)
+    low = min((e for _, e in f), default=math.inf)
     return [(o, min(e, low) if o < math.inf else e) for o, e in f]
 
 
@@ -337,7 +337,7 @@ def _product(f, g):
 
 def _value_times(a, f):
     # series_from_ratfun([a]_q, work) * f
-    return _product(f, [_known(q_rational(a).order)] + [_ZERO] * len(f))
+    return _product(f, [_known(order_at_zero(a))] + [_ZERO] * len(f))
 
 
 def _substituted(f, c):
@@ -361,7 +361,7 @@ def _quotient(f, c, orders):
 
 
 def _pad(*shapes):
-    return max(0, -min(e for f in shapes for _, e in f))
+    return max(0, -min((e for f in shapes for _, e in f), default=0))
 
 
 def _combine(f, factor, sign):
@@ -419,15 +419,16 @@ def _shift_n_check(series_form, sign):
 def _dq_check(series_form, sign):
     # the difference quotient against [alpha]_q times the neighbouring
     # series: at alpha - 1 and qx for the binomial family, at alpha + 1
-    # for the inverse one
+    # for the inverse one.  The neighbour stops at the x^(xdeg-1) compared:
+    # an x^xdeg would drop the whole product to its own precision
     def check(binding, mode, precision, xdeg):
         a = binding['alpha']
-        g = _family(a - sign, xdeg, sign)
+        g = _family(a - sign, xdeg - 1, sign)
         if sign > 0:
             g = _substituted(g, (1, math.inf))
         work = precision + _pad(_value_times(a, g))
         lhs = q_derivative(series_form(a, xdeg, work))
-        g = series_form(a - sign, xdeg, work)
+        g = series_form(a - sign, xdeg - 1, work)
         rhs = series_from_ratfun(q_rational(a), work) * (
             _qx(g) if sign > 0 else g)
         return lhs.agrees_with(rhs, xdeg, precision), lhs, rhs
@@ -437,17 +438,18 @@ def _dq_check(series_form, sign):
 def _func_eq_check(series_form, sign):
     # q-differential equation relating the derivative to the series
     # itself (at plain x for the binomial family, at qx for the inverse);
-    # the derivative side is exact in its factors
+    # the derivative side is exact in its factors, and the series side
+    # multiplies only the x^0..x^(xdeg-1) it is compared through
     def check(binding, mode, precision, xdeg):
         a = binding['alpha']
-        f = _family(a, xdeg, sign)
+        f = _family(a, xdeg - 1, sign)
         if sign < 0:
             f = _substituted(f, (1, math.inf))
         work = precision + _pad(_value_times(a, f))
         f = series_form(a, xdeg, work)
         scale = series_from_ratfun(q_rational(a), work)
         lhs = q_derivative(f) * xseries([1, sign])
-        rhs = scale * (f if sign > 0 else _qx(f))
+        rhs = scale * (f if sign > 0 else _qx(f)).truncate_x(xdeg)
         return lhs.agrees_with(rhs, xdeg, precision), lhs, rhs
     return check
 
@@ -456,7 +458,7 @@ def _gamma_shift_check(binding, mode, precision, xdeg):
     a = binding['alpha']
     # a product of series known to work erodes exactly the negative
     # order of either factor: [a]_q or gamma(a)
-    work = precision + max(0, -q_rational(a).order, -_gamma_order(a))
+    work = precision + max(0, -order_at_zero(a), -_gamma_order(a))
     lhs = q_gamma(a + 1, work)
     rhs = series_from_ratfun(q_rational(a), work) * q_gamma(a, work)
     return lhs.agrees_with(rhs, precision), lhs, rhs
@@ -774,6 +776,8 @@ def run_suite(identities=None, trials=25, seed=7,
     """
     if trials < 1:
         raise ValueError('trials must be at least 1')
+    if xdeg < 0:
+        raise ValueError('xdeg must be at least 0')
     if identities is None or identities == 'ALL':
         names = list(CATALOG)
     elif isinstance(identities, str):

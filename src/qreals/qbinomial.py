@@ -31,8 +31,8 @@ from fractions import Fraction
 
 from .errors import DomainError, InsufficientPrecisionError
 from .polynomial import IntPolynomial
-from .qcore import (DEFAULT_PRECISION, _as_rational, _floor_and_order,
-                    q_rational, q_real_series)
+from .qcore import (DEFAULT_PRECISION, _as_rational, _factor_order,
+                    _floor_and_order, q_rational, q_real_series)
 from .ratfun import QRationalFunction
 from .series import LaurentSeries
 
@@ -153,12 +153,6 @@ def binomial_run(value, shifts, precision, sign=-1, **kwargs):
                 f'{run.precision}, not {precision - shifts[k + 1]}')
         out.append(run)
     return out + [LaurentSeries.zero(o) for o in orders[len(out):]]
-
-
-def _factor_order(n, b, t):
-    # ord [x + t]_q from (n, b) = _floor_and_order(x)
-    f = n + t
-    return 0 if f > 0 else b if f == 0 else f
 
 
 def binomial_order(value, k):

@@ -351,14 +351,11 @@ def q_brace_series(value, precision=DEFAULT_PRECISION, **kwargs):
 def order_at_zero(value, precision=DEFAULT_PRECISION):
     """q-adic order of the deformation of a rational or real number.
 
-    Exact for rationals.  For irrationals this is the order of the
-    stabilized series, which the stabilization theorem makes exact as
-    long as the order lies below the precision.
+    Read off _floor_and_order, so no series is built (precision is not
+    used) and the order is exact for rationals and periodic continued
+    fractions.
     """
-    r = _as_rational(value)
-    if r is not None:
-        return q_rational(r).order
-    return q_real_series(value, precision).order
+    return _factor_order(*_floor_and_order(value), 0)
 
 
 def _as_rational(value):
@@ -398,3 +395,9 @@ def _floor_and_order(value, window=STABLE_WINDOW, budget=CONVERGENT_BUDGET):
     raise NonConvergenceError(
         f'no run of {window} approximants with one floor and fractional '
         f'order within {budget} terms for {value}')
+
+
+def _factor_order(n, b, t):
+    # ord [x + t]_q from (n, b) = _floor_and_order(x)
+    f = n + t
+    return 0 if f > 0 else b if f == 0 else f

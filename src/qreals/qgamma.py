@@ -40,7 +40,8 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, InsufficientPrecisionError, IntegralityError
-from .qcore import DEFAULT_PRECISION, q_rational
+from .qcore import (DEFAULT_PRECISION, _factor_order, _floor_and_order,
+                    order_at_zero, q_rational)
 from .qbinomial import binomial_order, binomial_run, shift_numerator
 from .series import LaurentSeries, _canonical, series_from_ratfun
 
@@ -201,14 +202,15 @@ def gamma_power(a, b, precision=DEFAULT_PRECISION):
 
 def _pochhammer_order(r):
     # pochhammer_at_q is prod_{j>=1} [j]_q / [r + j]_q, and [r + j]_q has
-    # order 0 once r + j >= 1
-    return -sum(q_rational(r + j).order for j in range(1, math.ceil(1 - r)))
+    # order 0 once r + j >= 1, that is once j > -floor(r)
+    n, b = _floor_and_order(r)
+    return -sum(_factor_order(n, b, j) for j in range(1, 1 - n))
 
 
 def _gamma_order(r):
     # q_gamma has order 0 on [1, oo); below 1 it divides by [r + j]_q
-    # for each unit step up to 1
-    return -sum(q_rational(r + j).order for j in range(math.ceil(1 - r)))
+    # for each unit step up to 1: the Pochhammer factors and [r]_q
+    return _pochhammer_order(r) - order_at_zero(r)
 
 
 def _integer_result(out, precision, what):

@@ -13,17 +13,32 @@ denominator.  The weight of a path is the number of cells below it.
 
 Tuples of paths whose i-th entry starts with at least i-1 up steps
 model the numerators of the binomial coefficients binom(r, k)_q.
+
+One step rule, _moves, says where a path may go from a lattice point
+and what the step adds to its weight: an east step over column x at
+height y puts y - low(x) cells below the path, low(x) being the column's
+lowest row (Canakci and Schiffler, "Snake graph calculus and cluster
+algebras from surfaces", J. Algebra, 2013).  As every step raises x + y
+by one, the polynomials are a dynamic program that carries the partial
+paths' weight polynomials one anti-diagonal at a time, as int lists:
+O(cells * degree) work, with no path built.  Only the listings walk
+paths, iteratively and east step first, and only while the path count
+times the steps per path stays within LISTING_BUDGET; beyond it they
+raise DomainError.
 """
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 from .errors import DomainError
 from .polynomial import IntPolynomial
 from .qcore import ContinuedFraction
+
+# path-steps a listing may hold (the CLI benchmark pool's largest is 374)
+LISTING_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -37,114 +52,103 @@ class SnakePath:
         return len(self.steps) - len(self.steps.lstrip('N'))
 
 
-def _walk_cells(word):
-    x = y = 0
-    cells = [(0, 0)]
-    for letter in word:
-        if letter == 'U':
-            y += 1
-        else:
-            x += 1
-        cells.append((x, y))
-    return tuple(cells)
-
-
-def _enumerate_paths(cells, start, end):
-    """All northeast paths along cell edges from start to end."""
+def _moves(cells):
+    """The step rule: moves(x, y) yields (letter, next point, weight)."""
+    # an edge is on the snake when a cell lies on either side of it; as
+    # the snake climbs up and right, none leads past its last cell
     cellset = frozenset(cells)
-    ex, ey = end
-    found = []
+    low = dict(reversed(cells))   # walk order lists a column's lowest first
 
-    def extend(x, y, steps):
-        if x == ex and y == ey:
-            found.append(steps)
-            return
-        if x < ex and ((x, y) in cellset or (x, y - 1) in cellset):
-            extend(x + 1, y, steps + 'E')
-        if y < ey and ((x, y) in cellset or (x - 1, y) in cellset):
-            extend(x, y + 1, steps + 'N')
+    def moves(x, y):
+        if (x, y) in cellset or (x, y - 1) in cellset:
+            yield 'E', (x + 1, y), y - low[x]
+        if (x, y) in cellset or (x - 1, y) in cellset:
+            yield 'N', (x, y + 1), 0
+    return moves
 
-    extend(start[0], start[1], '')
+
+def _polynomial(cells, start, end):
+    """Weight polynomial of the paths from start to end."""
+    moves = _moves(cells)
+    layer = {start: [1]}
+    for _ in range(end[0] + end[1] - start[0] - start[1]):
+        ahead = {}
+        for point, poly in layer.items():
+            for _, to, w in moves(*point):
+                acc = ahead.setdefault(to, [])
+                top = w + len(poly)
+                acc.extend([0] * (top - len(acc)))
+                acc[w:top] = map(add, acc[w:top], poly)
+        layer = ahead
+    return IntPolynomial(layer.get(end, ()))
+
+
+def _enumerate_paths(cells, end):
+    """Every path from the origin to end, east steps first, as a list."""
+    moves = _moves(cells)
+    found, stack = [], [('', (0, 0), 0)]
+    while stack:
+        steps, point, weight = stack.pop()
+        if point == end:
+            found.append(SnakePath(steps, weight))
+        for letter, to, w in reversed([*moves(*point)]):
+            stack.append((steps + letter, to, weight + w))
     return found
-
-
-def _path_weight(steps, start, cells):
-    # cells strictly below the path: the east step over column cx runs
-    # at some height h, and covers cell (cx, cy) exactly when h > cy
-    x, y = start
-    height = {}
-    for letter in steps:
-        if letter == 'E':
-            height[x] = y
-            x += 1
-        else:
-            y += 1
-    return sum(1 for (cx, cy) in cells if cx in height and height[cx] > cy)
-
-
-def _weight_polynomial(paths):
-    counts = Counter(p.weight for p in paths)
-    top = max(counts, default=-1)
-    return IntPolynomial(tuple(counts.get(i, 0) for i in range(top + 1)))
 
 
 class SnakeGraph:
     """Snake of unit cells attached to a rational greater than 1."""
 
     def __init__(self, fraction):
-        fraction = Fraction(fraction)
-        cf = ContinuedFraction.from_rational(fraction)
-        terms = cf.terms
+        self.fraction = Fraction(fraction)
+        self.continued_fraction = ContinuedFraction.from_rational(
+            self.fraction)
+        terms = self.continued_fraction.terms
         exponents = (terms[0] - 1,) + terms[1:-1] + (terms[-1] - 1,)
-        word = ''.join(('U' if i % 2 == 0 else 'R') * e
-                       for i, e in enumerate(exponents))
-        self.fraction = fraction
-        self.continued_fraction = cf
-        self.word = word
-        self.cells = _walk_cells(word)
-        last = self.cells[-1]
-        self.end = (last[0] + 1, last[1] + 1)
-
-    @classmethod
-    def from_rational(cls, fraction):
-        return cls(fraction)
+        self.word = ''.join(('U' if i % 2 == 0 else 'R') * e
+                            for i, e in enumerate(exponents))
+        self.cells = tuple(itertools.accumulate(
+            self.word, lambda c, s: (c[0], c[1] + 1) if s == 'U'
+            else (c[0] + 1, c[1]), initial=(0, 0)))
+        self.end = (self.cells[-1][0] + 1, self.cells[-1][1] + 1)
+        self._classes = {}
 
     @cached_property
     def paths(self):
-        """All corner-to-corner paths, in discovery order."""
-        raw = _enumerate_paths(self.cells, (0, 0), self.end)
-        return tuple(SnakePath(s, _path_weight(s, (0, 0), self.cells))
-                     for s in raw)
-
-    @cached_property
-    def _reduced(self):
-        # the snake minus its leftmost column of cells
-        rest = tuple(c for c in self.cells if c[0] >= 1)
-        if not rest:
-            return None
-        start = (1, min(cy for cx, cy in rest if cx == 1))
-        raw = _enumerate_paths(rest, start, self.end)
-        return tuple(SnakePath(s, _path_weight(s, start, rest))
-                     for s in raw)
+        """All corner-to-corner paths, east steps first."""
+        count = self.numerator_polynomial()(1)
+        size = count * (self.end[0] + self.end[1])
+        if size > LISTING_BUDGET:
+            raise DomainError(
+                f'listing the {count} paths of the snake of {self.fraction} '
+                f'takes {size} path-steps; the budget is {LISTING_BUDGET}')
+        return tuple(_enumerate_paths(self.cells, self.end))
 
     def numerator_polynomial(self):
-        return _weight_polynomial(self.paths)
+        return self.class_polynomial(0)
 
     def denominator_polynomial(self):
-        if self._reduced is None:
+        # the snake minus its leftmost column, from that part's first cell
+        rest = tuple(c for c in self.cells if c[0] >= 1)
+        if not rest:
             return IntPolynomial.one()
-        return _weight_polynomial(self._reduced)
+        return _polynomial(rest, rest[0], self.end)
 
     def paths_with_initial_ups(self, j):
         """Paths that start with at least j consecutive up steps."""
         return tuple(p for p in self.paths if p.initial_ups >= j)
 
     def class_polynomial(self, j):
-        chosen = self.paths_with_initial_ups(j)
-        if not chosen:
+        """Weight polynomial of the paths with at least j initial up steps."""
+        # they climb the leftmost column to (0, j) at no weight first,
+        # which stays on the snake while that column is j cells tall
+        if j > sum(1 for cx, _ in self.cells if cx == 0):
             raise DomainError(
                 f'no path in {self!r} starts with {j} up steps')
-        return _weight_polynomial(chosen)
+        j = max(j, 0)
+        if j not in self._classes:
+            self._classes[j] = _polynomial(self.cells, (0, j), self.end)
+        return self._classes[j]
 
     def tuple_polynomial(self, k):
         """Weight generating polynomial of k-tuples of paths.
@@ -171,17 +175,12 @@ class SnakeGraph:
         return itertools.product(*pools)
 
     def ascii_art(self):
-        xs = [c[0] for c in self.cells]
-        ys = [c[1] for c in self.cells]
-        width = 4 * (max(xs) + 1) + 1
-        rows = 2 * (max(ys) + 1) + 1
-        grid = [[' '] * width for _ in range(rows)]
+        width, height = self.end
+        grid = [[' '] * (4 * width + 1) for _ in range(2 * height + 1)]
         for cx, cy in self.cells:
             left = 4 * cx
-            top = 2 * (max(ys) - cy)
-            for r in (top, top + 2):
-                for d in range(5):
-                    grid[r][left + d] = '+' if d in (0, 4) else '-'
+            top = 2 * (height - 1 - cy)
+            grid[top][left:left + 5] = grid[top + 2][left:left + 5] = '+---+'
             grid[top + 1][left] = grid[top + 1][left + 4] = '|'
         return '\n'.join(''.join(row).rstrip() for row in grid)
 

@@ -5,10 +5,13 @@ be asserted exactly.  Usage failures raised by argparse surface as
 SystemExit; failures detected later return the code.
 """
 
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qreals import (binomial_product, cli, negative_binomial_product,
                     parse_real_spec)
@@ -257,6 +260,21 @@ def test_snake_needs_value_above_one(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize('n', [1200, 2000, 3000])
+def test_snake_long_quotient(capsys, n):
+    # (n+1)/n is a row of n cells: its numerator is [n+1]_q, and its
+    # n + 1 paths of n + 1 steps are too many path-steps to list
+    value = f'{n + 1}/{n}'
+    for argv in (('graph', value), ('tuples', value, '2')):
+        code, out, _ = run(capsys, 'snake', *argv, '--format', 'json')
+        assert code == 0
+        assert json.loads(out)['result']['numerator'] == [1] * (n + 1)
+    code, out, err = run(capsys, 'snake', 'paths', value)
+    assert code == 2
+    assert out == ''
+    assert err.count('\n') == 1 and 'budget' in err
+
+
 # ---------------------------------------------------------------------------
 # identity
 
@@ -272,6 +290,13 @@ def test_identity_run_unknown_name_is_usage(capsys):
     code, _, err = run(capsys, 'identity', 'run', '--filter', 'NOPE')
     assert code == 1
     assert 'unknown identity' in err
+
+
+def test_identity_run_negative_xdeg_is_usage(capsys):
+    code, _, err = run(capsys, 'identity', 'run', '--filter', 'DQ_B',
+                       '--xdeg', '-1')
+    assert code == 1
+    assert err == 'error: xdeg must be at least 0\n'
 
 
 def test_identity_failure_exit_code(capsys, monkeypatch):
@@ -367,3 +392,65 @@ def test_no_arguments_is_usage(capsys):
 def test_unknown_command_is_usage(capsys):
     code, _, _ = run(capsys, 'transmogrify', '5/2')
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every command line ends in a documented exit code, with one
+# stderr line for a failure (argparse usage errors add the usage text)
+
+_VALUES = st.sampled_from(
+    ['5/2', '-7/3', '0', '1', '3', '-2', '6/5', '1/3', '52/23', '[2;(2)]',
+     '[1;(1)]', '[1,2]', '[3,1,2,2]', '[1;(0)]', '1/0', 'x', ''])
+# a long partial quotient: 1001 paths of 1001 steps
+_SNAKE_VALUES = _VALUES | st.just('1001/1000')
+_INTS = st.integers(min_value=-3, max_value=6).map(str)
+_POSITIONALS = {
+    'eval': st.tuples(_VALUES),
+    'binom': st.tuples(_VALUES, _INTS),
+    'brace': st.tuples(_VALUES),
+    'gamma': st.tuples(_VALUES),
+    'series': st.tuples(st.sampled_from(['B', 'b', 'c']), _VALUES),
+    'snake': st.tuples(st.sampled_from(['paths', 'tuples', 'graph', 'x']),
+                       _SNAKE_VALUES) | st.tuples(
+        st.sampled_from(['paths', 'tuples', 'graph']), _SNAKE_VALUES, _INTS),
+    'identity': st.tuples(st.just('run'), st.just('--filter'),
+                          st.sampled_from(['BRACE_PROP_A', 'DQ_B',
+                                           'PASCAL_A', 'NOPE', ''])),
+}
+_OPTIONS = st.one_of(
+    st.tuples(st.just('--prec'),
+              st.integers(min_value=-1, max_value=24).map(str)),
+    st.tuples(st.just('--format'), st.sampled_from(['json', 'text', 'x'])),
+    st.tuples(st.sampled_from(['--latex', '--timing'])),
+    st.tuples(st.just('--xdeg'), _INTS),
+    st.tuples(st.just('--form'), st.sampled_from(['ratfun', 'series'])),
+    st.tuples(st.just('--trials'),
+              st.integers(min_value=-1, max_value=2).map(str)),
+    st.tuples(st.just('--seed'), _INTS),
+    st.tuples(st.text(alphabet='-/;[](),.ax', max_size=4)))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_POSITIONALS)))
+    argv = [command, *draw(_POSITIONALS[command])]
+    for option in draw(st.lists(_OPTIONS, max_size=3)):
+        argv.extend(option)
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_ends_in_a_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3, 4)
+    lines = err.splitlines()
+    if code in (1, 2, 3) and not lines[0].startswith('usage:'):
+        assert len(lines) == 1, err
+    assert 'Traceback' not in err

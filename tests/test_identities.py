@@ -95,6 +95,8 @@ def test_unknown_identity_rejected():
         run_suite(['PASCAL_A', 'NO_SUCH_RULE'])
     with pytest.raises(ValueError):
         run_suite(trials=0)
+    with pytest.raises(ValueError, match='xdeg'):
+        run_suite(trials=1, xdeg=-1)
 
 
 def test_unsupported_mode_rejected():

@@ -206,7 +206,7 @@ def test_gamma_checkers_start_from_a_sufficient_slack(monkeypatch):
     _assert_built_once(_count_builds(monkeypatch), panel)
 
 
-@pytest.mark.parametrize('xdeg', [3, 5, 8])
+@pytest.mark.parametrize('xdeg', [0, 3, 5, 8])
 def test_identity_checker_pads_are_the_smallest_that_work(monkeypatch,
                                                           xdeg):
     derived = identities._pad

@@ -10,8 +10,7 @@ from qreals import (ConvergentSequence, DomainError, IntPolynomial,
                     binomial_order, q_binomial, q_binomial_series, q_brace,
                     q_factorial, q_integer, q_pochhammer, q_rational,
                     q_real_series, ratfun, series_from_ratfun)
-from qreals.qbinomial import _factor_order
-from qreals.qcore import _floor_and_order
+from qreals.qcore import _factor_order, _floor_and_order
 
 rationals = st.fractions(min_value=-30, max_value=30,
                          max_denominator=9)

@@ -4,8 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qreals import DomainError, IntegralityError, q_binomial, q_factorial
+from qreals import (DomainError, IntegralityError, order_at_zero, q_binomial,
+                    q_factorial, q_rational)
 from qreals.qgamma import (
     gamma_convergence_report,
     gamma_power,
@@ -13,6 +15,8 @@ from qreals.qgamma import (
     pochhammer_at_q,
     q_gamma,
     scalar_binomial_series,
+    _gamma_order,
+    _pochhammer_order,
     _require_integer_coefficients,
 )
 from qreals.series import LaurentSeries, series, series_from_ratfun
@@ -208,3 +212,18 @@ def test_integrality_guard_names_the_first_fractional_coefficient():
                        r'not an integer$'):
         _require_integer_coefficients(
             series(-1, [2, 4, Fraction(1, 3), 1], 4), 'guard test')
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=-30, max_value=30, max_denominator=9),
+       st.integers(min_value=-8, max_value=8))
+def test_orders_come_from_the_floor_and_fractional_order(r, t):
+    # every order of a shifted deformation, against the deformation
+    # itself; the Gamma and Pochhammer orders sum them over the factors
+    # below 1
+    assert order_at_zero(r + t) == q_rational(r + t).order
+    below = [q_rational(r + j).order for j in range(math.ceil(1 - r))]
+    if r.denominator > 1 or r > 0:
+        assert _gamma_order(r) == -sum(below)
+    if r.denominator > 1 or r >= 0:
+        assert _pochhammer_order(r) == -sum(below[1:])

@@ -1,14 +1,116 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qreals import (DomainError, IntPolynomial, poly_gcd, q_binomial,
                     q_factorial, q_rational, ratfun)
-from qreals.snake import SnakeGraph
+from qreals.snake import LISTING_BUDGET, SnakeGraph
 
 
 def P(*coeffs):
     return IntPolynomial(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# reference: every path listed by recursion, weighed cell by cell
+
+def _reference_paths(cells, start, end):
+    cellset = frozenset(cells)
+    ex, ey = end
+    found = []
+
+    def extend(x, y, steps):
+        if x == ex and y == ey:
+            found.append(steps)
+            return
+        if x < ex and ((x, y) in cellset or (x, y - 1) in cellset):
+            extend(x + 1, y, steps + 'E')
+        if y < ey and ((x, y) in cellset or (x - 1, y) in cellset):
+            extend(x, y + 1, steps + 'N')
+
+    extend(start[0], start[1], '')
+    return found
+
+
+def _reference_weight(steps, start, cells):
+    # cells strictly below the path: the east step over column cx runs
+    # at some height h, and covers cell (cx, cy) exactly when h > cy
+    x, y = start
+    height = {}
+    for letter in steps:
+        if letter == 'E':
+            height[x] = y
+            x += 1
+        else:
+            y += 1
+    return sum(1 for (cx, cy) in cells if cx in height and height[cx] > cy)
+
+
+def _reference_listing(cells, start, end):
+    return [(s, _reference_weight(s, start, cells))
+            for s in _reference_paths(cells, start, end)]
+
+
+def _reference_polynomial(listing):
+    weights = [w for _, w in listing]
+    return IntPolynomial(tuple(weights.count(i)
+                               for i in range(max(weights, default=-1) + 1)))
+
+
+# 1 < r < 6 with denominator at most 40
+snake_rationals = st.integers(1, 40).flatmap(
+    lambda d: st.integers(d + 1, 6 * d - 1).map(lambda n: Fraction(n, d)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(snake_rationals)
+def test_polynomials_and_listing_match_the_recursive_reference(r):
+    g = SnakeGraph(r)
+    listing = _reference_listing(g.cells, (0, 0), g.end)
+    assert [(p.steps, p.weight) for p in g.paths] == listing
+    assert g.numerator_polynomial() == _reference_polynomial(listing)
+    rest = tuple(c for c in g.cells if c[0] >= 1)
+    if rest:
+        start = (1, min(cy for cx, cy in rest if cx == 1))
+        reduced = _reference_listing(rest, start, g.end)
+        assert g.denominator_polynomial() == _reference_polynomial(reduced)
+    else:
+        assert g.denominator_polynomial() == IntPolynomial.one()
+    for j in range(-1, g.end[1] + 2):
+        chosen = [(s, w) for s, w in listing
+                  if len(s) - len(s.lstrip('N')) >= j]
+        assert [(p.steps, p.weight)
+                for p in g.paths_with_initial_ups(j)] == chosen
+        if chosen:
+            assert g.class_polynomial(j) == _reference_polynomial(chosen)
+        else:
+            with pytest.raises(DomainError):
+                g.class_polynomial(j)
+
+
+def test_polynomials_need_no_listing():
+    # 3001 paths of 3001 steps are over the listing budget; the weight
+    # polynomials come from the dynamic program all the same
+    g = SnakeGraph(Fraction(3001, 3000))
+    assert g.numerator_polynomial() == IntPolynomial((1,) * 3001)
+    assert g.denominator_polynomial() == IntPolynomial((1,) * 3000)
+    # the one path that climbs first runs along the top of every cell
+    assert g.class_polynomial(1) == IntPolynomial.monomial(1, 3000)
+    with pytest.raises(DomainError, match='budget'):
+        g.paths
+    with pytest.raises(DomainError, match='budget'):
+        g.paths_with_initial_ups(1)
+    with pytest.raises(DomainError, match='budget'):
+        g.path_tuples(2)
+
+
+def test_listing_budget_counts_path_steps():
+    # (n+1)/n has n + 1 paths of n + 1 steps each
+    n = int(LISTING_BUDGET ** 0.5) - 1
+    assert len(SnakeGraph(Fraction(n + 1, n)).paths) == n + 1
+    with pytest.raises(DomainError):
+        SnakeGraph(Fraction(n + 2, n + 1)).paths
 
 
 def test_three_cell_snake():
