@@ -6,7 +6,8 @@ meant for machines.  Identical arguments produce byte-identical output
 unless --timing is requested, which adds a wall-clock field.
 
 Exit codes: 0 success, 1 usage, 2 domain error, 3 non-convergence,
-4 identity suite failure.
+4 identity suite failure.  A reader closing the output pipe early is
+not an error: the command exits 0.
 """
 
 import argparse
@@ -376,7 +377,14 @@ def main(argv=None):
         if args.prec < 1:
             parser.error('--prec must be at least 1')
         started = time.perf_counter()
-        return args.handler(args, started) or EXIT_OK
+        code = args.handler(args, started) or EXIT_OK
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (say `| head`) after the command did its
+        # work; stdout goes to devnull so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except DomainError as err:
         print(f'domain error: {err}', file=sys.stderr)
         return EXIT_DOMAIN

@@ -17,11 +17,15 @@ the stabilized series is the deformation of the real.  Convergents of
 the regular continued fraction of the target are the canonical choice of
 approximants, but any sequence converging to the target works.
 
-Two evaluation modes coexist.  The exact mode produces a canonical
-QRationalFunction and is cached; the series mode runs the same tower in
-truncated Laurent arithmetic, whose cost is polynomial in the precision
-rather than in the size of the fraction, which is what makes deep
-convergents (Pell numerators grow exponentially) tractable.
+Every rational takes one path.  The tower is a product of 2x2 matrices
+of polynomials, one per level, each with determinant -q^a (Morier-Genoud
+and Ovsienko, "q-deformed rationals and q-continued fractions", Forum
+Math. Sigma 8, 2020), so the numerator and denominator it yields share
+no factor but a power of q and no gcd is taken.  The canonical
+QRationalFunction is cached; a series is its expansion.  The degrees
+grow with the sum of the partial quotients, not with the size of the
+fraction, so deep convergents (Pell numerators grow exponentially) stay
+cheap.
 """
 
 import itertools
@@ -35,10 +39,6 @@ from .errors import DomainError, NonConvergenceError
 from .polynomial import IntPolynomial
 from .ratfun import QRationalFunction, ratfun
 from .series import LaurentSeries, series_from_ratfun
-
-# Above this numerator/denominator size, rational deformations are
-# expanded through the truncated tower instead of exact arithmetic.
-_EXACT_LIMIT = 10 ** 6
 
 DEFAULT_PRECISION = 32
 STABLE_WINDOW = 3
@@ -55,11 +55,6 @@ def q_integer(n):
     if n >= 0:
         return QRationalFunction.from_polynomial(_qint_poly(n))
     return ratfun(n, -_qint_poly(-n), 1, reduced=True)
-
-
-def _qint_inverse(a):
-    """[a] at 1/q, which is q^-(a-1) [a]_q, for a >= 1."""
-    return QRationalFunction(-(a - 1), _qint_poly(a), IntPolynomial.one())
 
 
 class ContinuedFraction:
@@ -127,50 +122,46 @@ class ContinuedFraction:
         return f'ContinuedFraction({list(self._terms)})'
 
 
-def _tower_exact(terms):
-    # bottom level is even, [a]' with no bridge below it
-    acc = _qint_inverse(terms[-1])
+def _times_qint(p, a):
+    """p * [a]_q for a >= 0: the running sum of (1 - q^a) p, which costs
+    O(deg p + a) where the product costs O(a deg p)."""
+    c = p.coeffs
+    return IntPolynomial(itertools.accumulate(
+        [x - y for x, y in zip(c + (0,) * a, (0,) * a + c)]))
+
+
+def _tower(terms):
+    """(N, D) with [r]_q = N/D, from the even-length continued fraction
+    terms of r > 1, built from the bottom level up.
+
+    The bottom level [a]'_q is ([a]_q, q^(a-1)).  A level [a]_q + q^a/acc
+    maps (N, D) to ([a]N + q^a D, N), a level [a]'_q + q^-a/acc maps it to
+    (q[a]N + D, q^a N); both matrices have determinant -q^a, so N and D
+    share no factor but a power of q.
+    """
+    a = terms[-1]
+    num, den = _qint_poly(a), IntPolynomial.monomial(1, a - 1)
     for i in range(len(terms) - 2, -1, -1):
         a = terms[i]
         if i % 2 == 0:  # odd 1-based position, plain [a]_q, bridge q^+a
-            acc = q_integer(a) + QRationalFunction.q_power(a) / acc
+            num, den = _times_qint(num, a) + den.shift(a), num
         else:
-            acc = _qint_inverse(a) + QRationalFunction.q_power(-a) / acc
-    return acc
+            num, den = _times_qint(num, a).shift(1) + den, num.shift(a)
+    return num, den
 
 
-def _tower_series(terms, precision):
-    acc = series_from_ratfun(_qint_inverse(terms[-1]), precision)
-    for i in range(len(terms) - 2, -1, -1):
-        a = terms[i]
-        if i % 2 == 0:
-            head = LaurentSeries.from_polynomial(_qint_poly(a))
-            acc = head.truncate(precision) + LaurentSeries.q_power(a) / acc
-        else:
-            head = series_from_ratfun(_qint_inverse(a), precision)
-            acc = head + LaurentSeries.q_power(-a) / acc
-    return acc
-
-
-def _shift_amount(r):
-    """Smallest n >= 0 with r + n in (1, 2], zero when r > 1 already."""
-    if r > 1:
-        return 0
-    return math.floor(2 - r)
-
-
-# Bounded well above what the workloads keep: 904 entries after 6 002
-# identity-exact cases, 328 after 1 530 identity-series cases.
+# Bounded well above what the workloads keep: 901 entries after 6 002
+# identity-exact cases, 315 after 1 530 identity-series cases (seed 7),
+# deep convergents of the irrational inputs included.
 @lru_cache(maxsize=4096)
 def _q_rational_cached(num, den):
-    r = Fraction(num, den)
-    if den == 1:
-        return q_integer(num)
-    m = _shift_amount(r)
-    if m == 0:
-        return _tower_exact(ContinuedFraction.from_rational(r).terms)
-    shifted = _q_rational_cached(num + m * den, den)
-    return (shifted - q_integer(m)) * QRationalFunction.q_power(-m)
+    # the shift law [r]_q = q^-m ([r + m]_q - [m]_q), with the smallest
+    # m >= 0 that puts r + m in (1, 2] when r <= 1; N - [m]D shares with D
+    # only what N does, so no gcd is taken
+    m = max(0, (2 * den - num) // den)
+    n, d = _tower(ContinuedFraction.from_rational(
+        Fraction(num + m * den, den)).terms)
+    return ratfun(-m, n - _times_qint(d, m), d, reduced=True)
 
 
 def q_rational(r):
@@ -180,28 +171,19 @@ def q_rational(r):
 
 
 def q_rational_series(r, precision):
-    """[r]_q as a Laurent series known below q^precision.
-
-    Runs the continued-fraction tower in truncated arithmetic, so the
-    cost scales with the precision and the number of terms, not with
-    the size of the numerator.
-    """
-    r = Fraction(r)
-    if max(abs(r.numerator), r.denominator) <= _EXACT_LIMIT:
-        return series_from_ratfun(q_rational(r), precision)
-    m = _shift_amount(r)
-    if m == 0:
-        s = _tower_series(ContinuedFraction.from_rational(r).terms, precision)
-    else:
-        up = _tower_series(
-            ContinuedFraction.from_rational(r + m).terms, precision + m)
-        s = (up - IntPolynomial((1,) * m)).shift(-m)
-    return s.truncate(precision)
+    """[r]_q as a Laurent series known below q^precision."""
+    return series_from_ratfun(q_rational(r), precision)
 
 
 def q_brace(r):
     """{r}_q = 1 + (q - 1)[r]_q, the q-deformed fractional bracket."""
-    return 1 + IntPolynomial((-1, 1)) * q_rational(r)
+    # at q = 1 the tower is the classical one, so D(1) is, up to the
+    # content, the denominator of r: q - 1 does not divide D, and the
+    # numerator D + (q - 1)q^e N shares no factor with it
+    rf = q_rational(r)
+    low = min(0, rf.e)
+    num = (rf.num.shift(1) - rf.num).shift(rf.e - low) + rf.den.shift(-low)
+    return ratfun(low, num, rf.den, reduced=True)
 
 
 _Q_MINUS_ONE = LaurentSeries.from_polynomial(IntPolynomial((-1, 1)))

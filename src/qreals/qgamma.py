@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InsufficientPrecisionError, IntegralityError
 from .qcore import (DEFAULT_PRECISION, _factor_order, _floor_and_order,
-                    order_at_zero, q_rational)
+                    q_rational)
 from .qbinomial import binomial_order, binomial_run, shift_numerator
 from .series import LaurentSeries, _canonical, series_from_ratfun
 
@@ -210,7 +210,7 @@ def _pochhammer_order(r):
 def _gamma_order(r):
     # q_gamma has order 0 on [1, oo); below 1 it divides by [r + j]_q
     # for each unit step up to 1: the Pochhammer factors and [r]_q
-    return _pochhammer_order(r) - order_at_zero(r)
+    return _pochhammer_order(r) - _factor_order(*_floor_and_order(r), 0)
 
 
 def _integer_result(out, precision, what):

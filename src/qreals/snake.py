@@ -144,7 +144,8 @@ class SnakeGraph:
         # which stays on the snake while that column is j cells tall
         if j > sum(1 for cx, _ in self.cells if cx == 0):
             raise DomainError(
-                f'no path in {self!r} starts with {j} up steps')
+                f'no path in the snake of {self.fraction} starts with {j} up '
+                'steps')
         j = max(j, 0)
         if j not in self._classes:
             self._classes[j] = _polynomial(self.cells, (0, j), self.end)
@@ -171,7 +172,8 @@ class SnakeGraph:
         pools = [self.paths_with_initial_ups(i) for i in range(k)]
         if any(not pool for pool in pools):
             raise DomainError(
-                f'{k}-tuples of paths are undefined for {self!r}')
+                f'{k}-tuples of paths are undefined for the snake of '
+                f'{self.fraction}')
         return itertools.product(*pools)
 
     def ascii_art(self):

@@ -8,7 +8,11 @@ SystemExit; failures detected later return the code.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +21,8 @@ from qreals import (binomial_product, cli, negative_binomial_product,
                     parse_real_spec)
 from qreals.cli import main
 from qreals.identities import IdentityCase, SuiteReport
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -273,6 +279,36 @@ def test_snake_long_quotient(capsys, n):
     assert code == 2
     assert out == ''
     assert err.count('\n') == 1 and 'budget' in err
+
+
+def test_snake_error_names_only_the_fraction(capsys):
+    # the snake of 3001/3000 is one row, so no path starts with 2 up steps
+    code, out, err = run(capsys, 'snake', 'tuples', '3001/3000', '3')
+    assert code == 2
+    assert out == ''
+    assert err.count('\n') == 1 and '3001/3000' in err
+    assert len(err) < 120, err
+
+
+# ---------------------------------------------------------------------------
+# a reader that stops early
+
+def test_closed_pipe_exits_cleanly():
+    # the eval output (about 1 MB) outgrows the pipe buffer, so the
+    # process is still writing when the reader closes its end
+    env = dict(os.environ)
+    env['PYTHONPATH'] = os.pathsep.join(
+        [str(ROOT / 'src')] + ([env['PYTHONPATH']]
+                               if env.get('PYTHONPATH') else []))
+    proc = subprocess.Popen(
+        [sys.executable, '-m', 'qreals.cli', 'eval', '100001/100000'],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert head.startswith(b'[100001/100000]_q = ')
+    assert err == b''
 
 
 # ---------------------------------------------------------------------------

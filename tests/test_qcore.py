@@ -1,19 +1,21 @@
+import importlib
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qreals.qcore as qcore
 from qreals.errors import DomainError, NonConvergenceError
-from qreals.polynomial import IntPolynomial
+from qreals.polynomial import IntPolynomial, poly_gcd
 from qreals.qcore import (ContinuedFraction, ConvergentSequence,
                           PeriodicContinuedFraction, RationalValue,
                           order_at_zero, parse_real_spec, q_brace,
                           q_brace_series, q_integer, q_rational,
                           q_rational_series, q_real_series)
 from qreals.ratfun import QRationalFunction, ratfun
-from qreals.series import series_from_ratfun
+from qreals.series import LaurentSeries, series_from_ratfun
 
 
 def P(*coeffs):
@@ -166,14 +168,142 @@ def test_series_prefix_52_23():
     assert s.coefficients(0, 8) == [1, 1, 0, 0, 0, 1, -1, 0]
 
 
-def test_truncated_tower_matches_exact_expansion(monkeypatch):
-    monkeypatch.setattr(qcore, '_EXACT_LIMIT', 0)
-    for r in (Fraction(52, 23), Fraction(5, 3), Fraction(7, 2), Fraction(2),
-              Fraction(1, 2), Fraction(-8, 5), Fraction(11, 7), Fraction(-3)):
-        viaseries = q_rational_series(r, 24)
-        exact = series_from_ratfun(q_rational(r), 24)
-        assert viaseries.agrees_with(exact, 24), r
-        assert viaseries.precision >= 24
+# The two towers the matrix product replaced, kept as references: one in
+# QRationalFunction arithmetic, which takes a gcd at every level, and one
+# in truncated Laurent arithmetic.
+
+def _qint_inverse(a):
+    # [a] at 1/q, which is q^-(a-1) [a]_q
+    return QRationalFunction(-(a - 1), IntPolynomial((1,) * a),
+                             IntPolynomial.one())
+
+
+def _tower_exact(terms):
+    acc = _qint_inverse(terms[-1])
+    for i in range(len(terms) - 2, -1, -1):
+        a = terms[i]
+        if i % 2 == 0:
+            acc = q_integer(a) + QRationalFunction.q_power(a) / acc
+        else:
+            acc = _qint_inverse(a) + QRationalFunction.q_power(-a) / acc
+    return acc
+
+
+def _tower_series(terms, precision):
+    acc = series_from_ratfun(_qint_inverse(terms[-1]), precision)
+    for i in range(len(terms) - 2, -1, -1):
+        a = terms[i]
+        if i % 2 == 0:
+            head = LaurentSeries.from_polynomial(IntPolynomial((1,) * a))
+            acc = head.truncate(precision) + LaurentSeries.q_power(a) / acc
+        else:
+            head = series_from_ratfun(_qint_inverse(a), precision)
+            acc = head + LaurentSeries.q_power(-a) / acc
+    return acc
+
+
+def _shift(r):
+    # the smallest m >= 0 that puts r + m in (1, 2] when r <= 1
+    return 0 if r > 1 else math.floor(2 - r)
+
+
+def _reference_exact(r):
+    m = _shift(r)
+    up = _tower_exact(ContinuedFraction.from_rational(r + m).terms)
+    return (up - q_integer(m)) * QRationalFunction.q_power(-m)
+
+
+def _reference_series(r, precision):
+    m = _shift(r)
+    s = _tower_series(ContinuedFraction.from_rational(r + m).terms,
+                      precision + m)
+    if m:
+        s = (s - IntPolynomial((1,) * m)).shift(-m)
+    return s.truncate(precision)
+
+
+def _reference_real_series(value, precision):
+    run, last = 0, None
+    for c in itertools.islice(value.convergents(), qcore.CONVERGENT_BUDGET):
+        s = _reference_series(c, precision)
+        agrees = last is not None and s.agrees_with(last, precision)
+        run = run + 1 if agrees else 1
+        if run >= qcore.STABLE_WINDOW:
+            return s
+        last = s
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fractions(min_value=-60, max_value=60, max_denominator=40),
+       st.sampled_from((1, 8, 24, 32)))
+@example(Fraction(52, 23), 24)
+@example(Fraction(5, 3), 24)
+@example(Fraction(7, 2), 24)
+@example(Fraction(2), 24)
+@example(Fraction(1, 2), 24)
+@example(Fraction(-8, 5), 24)
+@example(Fraction(11, 7), 24)
+@example(Fraction(-3), 24)
+def test_tower_matches_both_references_on_rationals(r, precision):
+    assert q_rational(r) == _reference_exact(r)
+    s = q_rational_series(r, precision)
+    assert s.agrees_with(_reference_series(r, precision), precision), r
+    assert s.precision >= precision
+
+
+def _even_terms(terms):
+    return terms + [1] if len(terms) % 2 else terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 6), st.integers(1, 3000)),
+                min_size=1, max_size=27).map(_even_terms),
+       st.integers(0, 3), st.sampled_from((1, 8, 32)))
+@example([1, 3000, 3000, 1], 0, 32)
+@example([1] + [500] * 8 + [1], 0, 32)
+def test_tower_matches_truncated_reference_on_long_terms(terms, down,
+                                                         precision):
+    # r - down for an integer down covers the shift law on long terms
+    r = ContinuedFraction(terms).value() - down
+    s = q_rational_series(r, precision)
+    assert s.agrees_with(_reference_series(r, precision), precision)
+    assert s.precision >= precision
+    if not down:
+        assert s.agrees_with(_tower_series(terms, precision), precision)
+
+
+@settings(max_examples=32, deadline=None)
+@given(st.lists(st.integers(1, 5), max_size=2),
+       st.lists(st.integers(1, 5), min_size=1, max_size=3))
+def test_periodic_series_match_the_truncated_reference(head, period):
+    value = PeriodicContinuedFraction(tuple(head), tuple(period))
+    expected = _reference_real_series(value, 16)
+    if expected is None:
+        with pytest.raises(NonConvergenceError):
+            q_real_series(value, 16)
+    else:
+        assert q_real_series(value, 16).agrees_with(expected, 16)
+
+
+def test_rational_deformations_take_no_gcd(monkeypatch):
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    # the package exports a function named ratfun, so fetch the module
+    monkeypatch.setattr(importlib.import_module('qreals.ratfun'), 'poly_gcd',
+                        counting_gcd)
+    qcore._q_rational_cached.cache_clear()
+    for r in (Fraction(52, 23), Fraction(-8, 5), Fraction(1, 40), 0, -3,
+              Fraction(12, 5), Fraction(100001, 100000),
+              ContinuedFraction([1, 3000, 3000, 1]).value()):
+        q_rational(r)
+        q_rational_series(r, 32)
+        q_brace(r)
+    assert calls == []
 
 
 # -- real numbers -----------------------------------------------------------
