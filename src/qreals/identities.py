@@ -73,8 +73,14 @@ def _qpow(e):
 
 
 def _poch_q(k):
-    """(q; q)_k = (1 - q)(1 - q^2)...(1 - q^k) as a rational function."""
-    return q_pochhammer(_qpow(1), k)
+    """(q; q)_k = (1 - q)(1 - q^2)...(1 - q^k) as a rational function,
+    one polynomial product wrapped once."""
+    if k < 0:
+        raise DomainError(f'Pochhammer length must be nonnegative, got {k}')
+    out = IntPolynomial.one()
+    for i in range(1, k + 1):
+        out = out - out.shift(i)
+    return ratfun(0, out, 1, reduced=True)
 
 
 def _choose2(k):

@@ -9,31 +9,45 @@ function of q for rational r and a Laurent series for irrational r.
 binom(r, k) is zero for k < 0 by convention, which the Pascal-style
 recurrences rely on.
 
+Both routes rest on the shift law [x + t]_q = [t]_q + q^t [x]_q, which
+holds for every real x (Morier-Genoud and Ovsienko, "q-deformed
+rationals and q-continued fractions", Forum Math. Sigma 8, 2020).  With
+(1 - q)[t]_q = 1 - q^t it reads
+
+    (1 - q) D [x + t]_q = D + q^(lo + t) C
+
+for every integer t.  For rational x with [x]_q = q^e N / D, lo =
+min(0, e) and C = (1 - q) q^(e - lo) N - q^(-lo) D are exact, with
+about deg N + deg D terms; for irrational x, D = 1, lo = 0 and C is
+(1 - q)[x]_q - 1, a series read once.
+
+Exactly, 1 - q divides C + q^(j - lo) D, so [r - j]_q = q^(lo - j) h_j
+/ D with the polynomial h_j = (C + q^(j - lo) D) / (1 - q), and
+
+    binom(r, k)_q = q^(k lo - C(k, 2)) h_0 ... h_(k-1) / (D^k [k]_q!)
+
+with [k]_q! = prod_(2 <= d <= k) Phi_d^floor(k/d).  N and D share no
+factor but a power of q, so no h_j (which is q^(e - lo) N modulo D)
+shares one with D, and the only cancellation left is by the cyclotomic
+Phi_d, which are divided out of the short h_j.  No gcd is taken, and
+the factors are never reduced rational functions of their own.
+
 As series, the binomials of any upper index come from one run of short
-factors.  The shift law [x + t]_q = [t]_q + q^t [x]_q holds for every
-real x (Morier-Genoud and Ovsienko, "q-deformed rationals and
-q-continued fractions", Forum Math. Sigma 8, 2020), so with D = 1 for
-irrational x and [x]_q = q^e N / D for rational x,
-
-    (1 - q) D [x + t]_q = (1 - q^t) D + q^t (1 - q) D [x]_q
-
-for every integer t.  For rational x that is a Laurent polynomial with
-about deg N + deg D terms, and for irrational x it needs one series for
-[x]_q, read once.  One step of binom(x, k) -> binom(x, k+1) multiplies
-by the numerator at t = -k and divides by D and by 1 - q^(k+1): O(N
-(deg N + deg D)) for N known coefficients, and no exact rational
-function or gcd is formed.
+factors.  One step of binom(x, k) -> binom(x, k+1) multiplies by the
+numerator at t = -k and divides by D and by 1 - q^(k+1): O(N (deg N +
+deg D)) for N known coefficients, and no exact rational function or gcd
+is formed.
 """
 
 import itertools
 import math
-from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError, InsufficientPrecisionError
 from .polynomial import IntPolynomial
 from .qcore import (DEFAULT_PRECISION, _as_rational, _factor_order,
                     _floor_and_order, q_rational, q_real_series)
-from .ratfun import QRationalFunction
+from .ratfun import QRationalFunction, ratfun
 from .series import LaurentSeries
 
 _ONE_MINUS_Q = LaurentSeries.from_polynomial(IntPolynomial((1, -1)))
@@ -71,38 +85,108 @@ def q_pochhammer(x, n, inverse_base=False):
     return out
 
 
+def _shift_law(r):
+    """(lo, D, C) for a rational r: polynomials D and C with
+
+        (1 - q) D [r + t]_q = D + q^(lo + t) C
+
+    for every integer t, where [r]_q = q^e N / D, lo = min(0, e) and
+    C = (1 - q) q^(e - lo) N - q^(-lo) D.  This is the shift law
+    [r + t]_q = [t]_q + q^t [r]_q, with (1 - q)[t]_q = 1 - q^t.
+    """
+    rf = q_rational(r)
+    lo = min(0, rf.e)
+    a = rf.num.shift(rf.e - lo)
+    return lo, rf.den, a - a.shift(1) - rf.den.shift(-lo)
+
+
+@lru_cache(maxsize=128)
+def _cyclotomic(d):
+    """Phi_d, q^d - 1 divided by Phi_e for every proper divisor e of d."""
+    p = IntPolynomial((-1,) + (0,) * (d - 1) + (1,))
+    for e in range(1, d):
+        if d % e == 0:
+            p = p.divide_exact(_cyclotomic(e))
+    return p
+
+
+def _has_cyclotomic_factor(p, d):
+    """Whether Phi_d divides p.
+
+    Phi_d divides q^d - 1, so it divides p exactly when it divides p mod
+    q^d - 1, which has degree below d: fold p, then reduce the fold by
+    the monic Phi_d.
+    """
+    c = p.coeffs
+    rem = [sum(c[i::d]) for i in range(d)]
+    phi = _cyclotomic(d).coeffs
+    n = len(phi) - 1
+    for i in range(d - 1, n - 1, -1):
+        top = rem[i]
+        if top:
+            for j in range(n):
+                rem[i - n + j] -= top * phi[j]
+    return not any(rem[:n])
+
+
 def q_binomial(r, k):
-    """binom(r, k)_q for rational r and integer k, exact."""
+    """binom(r, k)_q for rational r and integer k, exact.
+
+    The polynomials h_j of the module docstring, from _shift_law, over
+    D^k [k]_q!.  Each Phi_d of [k]_q! is divided out of the h_j it
+    divides, at most floor(k/d) times in all; what is left of [k]_q!
+    joins D^k, and numerator and denominator are then coprime, so no
+    gcd is taken.  A vanishing h_j (an integer 0 <= r < k) makes the
+    binomial the exact zero.
+    """
     if k < 0:
         return QRationalFunction.zero()
-    r = Fraction(r)
-    num = QRationalFunction.one()
+    if k == 0:
+        return QRationalFunction.one()
+    lo, den, c = _shift_law(r)
+    factors = []
     for j in range(k):
-        num = num * q_rational(r - j)
-        if num.is_zero:
-            return num
-    return num / q_factorial(k)
+        # h_j = (C + q^(j - lo) D) / (1 - q), an exact quotient, so
+        # the running sum of the coefficients
+        g = c + den.shift(j - lo)
+        p = IntPolynomial(itertools.accumulate(g.coeffs))
+        if p.is_zero:
+            return QRationalFunction.zero()
+        factors.append(p)
+    bottom = den ** k
+    for d in range(2, k + 1):
+        uses = k // d
+        for i, p in enumerate(factors):
+            while uses and _has_cyclotomic_factor(p, d):
+                p = p.divide_exact(_cyclotomic(d))
+                uses -= 1
+            factors[i] = p
+        if uses:
+            bottom = bottom * _cyclotomic(d) ** uses
+    num = IntPolynomial.one()
+    for p in factors:
+        num = num * p
+    return ratfun(k * lo - k * (k - 1) // 2, num, bottom, reduced=True)
 
 
 def shift_numerator(value, precision=None, **kwargs):
     """The numerators of the shift law for [x + t]_q.
 
     Returns (D, f) with [x + t]_q = f(t) / ((1 - q) D) for every integer
-    t, where f(t) = (1 - q^t) D + q^t (1 - q) D [x]_q.  For rational
-    x, with [x]_q = q^e N / D, D and f(t) are exact.  For irrational x, D
-    is 1 and [x]_q is read once, to `precision` (kwargs go to
-    q_real_series), so f(t) is known below q^(precision + t).
+    t, where f(t) = D + q^(lo + t) C (module docstring).  For rational
+    x, D and f(t) are exact (_shift_law).  For irrational x, D is 1 and
+    [x]_q is read once, to `precision` (kwargs go to q_real_series), so
+    f(t) is known below q^(precision + t).
     """
     r = _as_rational(value)
     if r is None:
         den = LaurentSeries.one()
-        top = _ONE_MINUS_Q * q_real_series(value, precision, **kwargs)
+        top = _ONE_MINUS_Q * q_real_series(value, precision, **kwargs) - 1
     else:
-        rf = q_rational(r)
-        den = LaurentSeries.from_polynomial(rf.den)
-        top = LaurentSeries.from_polynomial(
-            rf.num * IntPolynomial((1, -1))).shift(rf.e)
-    return den, lambda t: den - den.shift(t) + top.shift(t)
+        lo, d, c = _shift_law(r)
+        den = LaurentSeries.from_polynomial(d)
+        top = LaurentSeries.from_polynomial(c).shift(lo)
+    return den, lambda t: den + top.shift(t)
 
 
 def binomial_run(value, shifts, precision, sign=-1, **kwargs):

@@ -1,4 +1,4 @@
-"""The two traced benchmark runs and the exact conditions they must meet.
+"""The three traced benchmark runs and the exact conditions they must meet.
 
 Each test runs `qbench/run.py --trace 1` on a fixed panel, as a reader
 would from the root of a checkout, and reads the JSON object on the last
@@ -43,3 +43,13 @@ def test_cli_cold_trace_repeats():
     r = _traced_run('cli-cold')
     assert r['correct'] is True
     assert r['metrics']['trace.exact_counts_repeat']['value'] == 1
+
+
+def test_identity_exact_trace_repeats_and_bounds_gcds():
+    # the traced panel is a fixed 1 000 cases, so the gcd count is exact;
+    # it was 38 885 while q_binomial multiplied gcd-reduced rational
+    # functions, and the shift-law numerators leave 12 515
+    r = _traced_run('identity-exact')
+    assert r['correct'] is True
+    assert r['metrics']['trace.exact_counts_repeat']['value'] == 1
+    assert r['metrics']['polynomial.gcd.calls']['value'] <= 12515

@@ -94,6 +94,14 @@ def test_binom_irrational_is_series(capsys):
     assert 'O(q^6)' in out
 
 
+def test_binom_large_k(capsys):
+    # k = 60 multiplies 60 short shift-law numerators; no gcd runs
+    started = time.perf_counter()
+    code, out, _ = run(capsys, 'binom', '5/3', '60')
+    assert code == 0 and time.perf_counter() - started < 5
+    assert out.startswith('binom(5/3, 60)_q = ')
+
+
 def test_brace_half(capsys):
     code, out, _ = run(capsys, 'brace', '1/2')
     assert code == 0

@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -10,10 +11,26 @@ from qreals import (ConvergentSequence, DomainError, IntPolynomial,
                     binomial_order, q_binomial, q_binomial_series, q_brace,
                     q_factorial, q_integer, q_pochhammer, q_rational,
                     q_real_series, ratfun, series_from_ratfun)
-from qreals.qcore import _factor_order, _floor_and_order
+from qreals.qcore import _factor_order, _floor_and_order, _q_rational_cached
 
+# the package exports the function ratfun under the module's name
+ratfun_module = importlib.import_module('qreals.ratfun')
 rationals = st.fractions(min_value=-30, max_value=30,
                          max_denominator=9)
+
+
+def _reference_binomial(r, k):
+    # the falling factorial as k products of canonical rational
+    # functions, each reduced by gcds, over [k]_q!
+    if k < 0:
+        return QRationalFunction.zero()
+    r = Fraction(r)
+    num = QRationalFunction.one()
+    for j in range(k):
+        num = num * q_rational(r - j)
+        if num.is_zero:
+            return num
+    return num / q_factorial(k)
 
 
 def test_factorial_values():
@@ -44,6 +61,36 @@ def test_gaussian_binomial():
     assert q_binomial(5, 0) == QRationalFunction.one()
     assert q_binomial(3, 5).is_zero
     assert q_binomial(7, -2).is_zero
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=-40, max_value=40, max_denominator=40),
+       st.integers(min_value=0, max_value=8))
+def test_binomial_matches_ratfun_product(r, k):
+    assert q_binomial(r, k) == _reference_binomial(r, k)
+
+
+def test_binomial_matches_ratfun_product_at_integers():
+    # integers 0 <= r < k give the exact zero; r = 0 and r = 1, and the
+    # negative integers, whose factors all have negative orders
+    for r in range(-6, 10):
+        for k in range(9):
+            assert q_binomial(r, k) == _reference_binomial(r, k), (r, k)
+
+
+def test_binomial_takes_no_gcd(monkeypatch):
+    calls = []
+    inner = ratfun_module.poly_gcd
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+    monkeypatch.setattr(ratfun_module, 'poly_gcd', counted)
+    _q_rational_cached.cache_clear()
+    for r in (Fraction(5, 3), Fraction(-7, 4), Fraction(31, 40), 0, 5, -3):
+        for k in range(9):
+            q_binomial(r, k)
+    assert calls == []
 
 
 def test_gaussian_symmetry():
