@@ -11,26 +11,42 @@ expansions, and a q-Gamma function.
 
 from .errors import (DomainError, InsufficientPrecisionError,
                      IntegralityError, NonConvergenceError, QRealError)
-from .identities import (CATALOG, IDENTITIES, IdentityCase, SuiteReport,
-                         run_suite, verify_identity)
 from .polynomial import IntPolynomial, poly_gcd
-from .qbinomial import (binomial_order, q_binomial, q_binomial_series,
-                        q_factorial, q_pochhammer)
 from .qcore import (DEFAULT_PRECISION, ContinuedFraction,
                     ConvergentSequence, PeriodicContinuedFraction,
                     RationalValue, RealSpec, order_at_zero, parse_real_spec,
                     q_brace, q_brace_series, q_integer, q_rational,
                     q_rational_series, q_real_series)
-from .qgamma import (gamma_convergence_report, gamma_power, gamma_reflection,
-                     pochhammer_at_q, q_gamma, scalar_binomial_series)
-from .qseries import (XSeries, binomial_coefficients, binomial_product,
-                      binomial_series, generalized_pochhammer,
-                      negative_binomial_coefficients,
-                      negative_binomial_product, negative_binomial_series,
-                      q_derivative, xseries)
 from .ratfun import QRationalFunction, ratfun
 from .series import LaurentSeries, series, series_from_ratfun
-from .snake import SnakeGraph, SnakePath
+
+# Every command needs the modules above.  The names of the five below load
+# their module on first use (PEP 562).  ratfun and series cannot: each names
+# a submodule too, and an imported submodule hides a lazy function's name.
+_HOME = {name: module for module, names in (
+    ('qbinomial', 'binomial_order q_binomial q_binomial_series q_factorial '
+                  'q_pochhammer'),
+    ('qgamma', 'gamma_convergence_report gamma_power gamma_reflection '
+               'pochhammer_at_q q_gamma scalar_binomial_series'),
+    ('qseries', 'XSeries binomial_coefficients binomial_product '
+                'binomial_series generalized_pochhammer '
+                'negative_binomial_coefficients negative_binomial_product '
+                'negative_binomial_series q_derivative xseries'),
+    ('identities', 'CATALOG IDENTITIES IdentityCase SuiteReport run_suite '
+                   'verify_identity'),
+    ('snake', 'SnakeGraph SnakePath')) for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f'module {__name__!r} has no attribute {name!r}')
+    module = __import__(f'{__name__}.{_HOME[name]}', fromlist=[name])
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))
 
 __version__ = '0.1.0'
 

@@ -19,16 +19,12 @@ import time
 
 from .errors import (DomainError, InsufficientPrecisionError,
                      NonConvergenceError)
-from .identities import run_suite
 from .polynomial import IntPolynomial, format_terms
-from .qbinomial import q_binomial, q_binomial_series
 from .qcore import (parse_real_spec, q_brace, q_brace_series, q_rational,
                     q_real_series)
-from .qgamma import q_gamma
-from .qseries import binomial_series, negative_binomial_series
 from .ratfun import QRationalFunction
-from .series import LaurentSeries, series_from_ratfun
-from .snake import SnakeGraph
+from .series import LaurentSeries
+# each command imports the rest of the library it uses, and only that
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -161,6 +157,7 @@ def _cmd_eval(args, started):
 
 
 def _cmd_binom(args, started):
+    from .qbinomial import q_binomial, q_binomial_series
     spec = _parse_spec(args.value)
     if spec.is_rational:
         form, value = 'ratfun', q_binomial(spec.value, args.k)
@@ -185,6 +182,7 @@ def _cmd_brace(args, started):
 
 
 def _cmd_gamma(args, started):
+    from .qgamma import q_gamma
     spec = _parse_spec(args.value)
     value = q_gamma(_require_rational(spec, 'the Gamma function'), args.prec)
     _emit(args, 'gamma', {'value': args.value},
@@ -193,6 +191,9 @@ def _cmd_gamma(args, started):
 
 
 def _cmd_series(args, started):
+    if args.xdeg < 0:
+        raise ValueError('xdeg must be at least 0')
+    from .qseries import binomial_series, negative_binomial_series
     spec = _parse_spec(args.value)
     build = binomial_series if args.family == 'B' else \
         negative_binomial_series
@@ -218,6 +219,7 @@ def _snake_payload(graph):
 
 
 def _cmd_snake(args, started):
+    from .snake import SnakeGraph
     spec = _parse_spec(args.value)
     graph = SnakeGraph(_require_rational(spec, 'the snake model'))
     payload = _snake_payload(graph)
@@ -260,6 +262,11 @@ def _cmd_snake(args, started):
         payload['tuples'] = poly(1)
         payload['weights'] = list(poly.coeffs)
     _emit(args, 'snake', inputs, payload, lines, started)
+
+
+def run_suite(*args, **kwargs):
+    from .identities import run_suite
+    return run_suite(*args, **kwargs)
 
 
 def _cmd_identity(args, started):

@@ -426,7 +426,8 @@ def _dq_check(series_form, sign):
     # the difference quotient against [alpha]_q times the neighbouring
     # series: at alpha - 1 and qx for the binomial family, at alpha + 1
     # for the inverse one.  The neighbour stops at the x^(xdeg-1) compared:
-    # an x^xdeg would drop the whole product to its own precision
+    # an x^xdeg would drop the whole product to its own precision (at
+    # xdeg 0, which compares nothing, it keeps the x^0 a series cannot lack)
     def check(binding, mode, precision, xdeg):
         a = binding['alpha']
         g = _family(a - sign, xdeg - 1, sign)
@@ -434,7 +435,7 @@ def _dq_check(series_form, sign):
             g = _substituted(g, (1, math.inf))
         work = precision + _pad(_value_times(a, g))
         lhs = q_derivative(series_form(a, xdeg, work))
-        g = series_form(a - sign, xdeg - 1, work)
+        g = series_form(a - sign, max(xdeg - 1, 0), work)
         rhs = series_from_ratfun(q_rational(a), work) * (
             _qx(g) if sign > 0 else g)
         return lhs.agrees_with(rhs, xdeg, precision), lhs, rhs

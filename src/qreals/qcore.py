@@ -31,7 +31,6 @@ cheap.
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -57,14 +56,41 @@ def q_integer(n):
     return ratfun(n, -_qint_poly(-n), 1, reduced=True)
 
 
-class ContinuedFraction:
+class _Record:
+    """Frozen record of the fields in _fields, with the equality, hash, repr
+    and immutability of a @dataclass(frozen=True) but no dataclasses import."""
+
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)
+        return f'{self.__class__.__qualname__}({body})'
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f'cannot assign to or delete field {name!r}')
+
+    __delattr__ = __setattr__
+
+
+class ContinuedFraction(_Record):
     """Even-length regular continued fraction of a rational greater than 1.
 
     Terms are positive integers; odd-length expansions are canonicalized
     by [..., a] -> [..., a-1, 1].
     """
 
-    __slots__ = ('_terms',)
+    _fields = ('terms',)
 
     def __init__(self, terms):
         terms = tuple(int(a) for a in terms)
@@ -72,7 +98,7 @@ class ContinuedFraction:
             raise DomainError(f'need an even number of terms, got {len(terms)}')
         if any(a < 1 for a in terms):
             raise DomainError(f'terms must be positive: {terms}')
-        self._terms = terms
+        object.__setattr__(self, 'terms', terms)
 
     @classmethod
     def from_rational(cls, r):
@@ -94,32 +120,20 @@ class ContinuedFraction:
                 terms[-1] += 1
         return cls(terms)
 
-    @property
-    def terms(self):
-        return self._terms
-
     def value(self):
-        v = Fraction(self._terms[-1])
-        for a in reversed(self._terms[:-1]):
+        v = Fraction(self.terms[-1])
+        for a in reversed(self.terms[:-1]):
             v = a + 1 / v
         return v
 
-    def __eq__(self, other):
-        if not isinstance(other, ContinuedFraction):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(self._terms)
-
     def __len__(self):
-        return len(self._terms)
+        return len(self.terms)
 
     def __str__(self):
-        return '[' + ', '.join(str(a) for a in self._terms) + ']'
+        return '[' + ', '.join(str(a) for a in self.terms) + ']'
 
     def __repr__(self):
-        return f'ContinuedFraction({list(self._terms)})'
+        return f'ContinuedFraction({list(self.terms)})'
 
 
 def _times_qint(p, a):
@@ -200,12 +214,11 @@ class RealSpec:
         return False
 
 
-@dataclass(frozen=True)
-class RationalValue(RealSpec):
-    value: Fraction
+class RationalValue(_Record, RealSpec):
+    _fields = ('value',)
 
-    def __post_init__(self):
-        object.__setattr__(self, 'value', Fraction(self.value))
+    def __init__(self, value):
+        object.__setattr__(self, 'value', Fraction(value))
 
     def convergents(self):
         return iter((self.value,))
@@ -218,16 +231,14 @@ class RationalValue(RealSpec):
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class PeriodicContinuedFraction(RealSpec):
+class PeriodicContinuedFraction(_Record, RealSpec):
     """Quadratic irrational [h1, ..., hk; (p1, ..., pj) repeating]."""
 
-    head: tuple
-    period: tuple
+    _fields = ('head', 'period')
 
-    def __post_init__(self):
-        head = tuple(int(a) for a in self.head)
-        period = tuple(int(a) for a in self.period)
+    def __init__(self, head, period):
+        head = tuple(int(a) for a in head)
+        period = tuple(int(a) for a in period)
         if not period:
             raise DomainError('empty period; use a plain rational instead')
         if any(a < 1 for a in head + period):

@@ -46,7 +46,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import InsufficientPrecisionError
+from .errors import DomainError, InsufficientPrecisionError
 from .polynomial import IntPolynomial
 from .qbinomial import binomial_run, q_binomial
 from .qcore import DEFAULT_PRECISION, _floor_and_order, q_brace_series
@@ -331,6 +331,8 @@ def negative_binomial_coefficients(r, count):
 
 
 def _binomial_sum(value, xdeg, precision, sign, weight, kwargs):
+    if xdeg < 0:
+        raise DomainError(f'x-degree must be nonnegative, got {xdeg}')
     shifts = [weight(k) for k in range(xdeg + 1)]
     run = binomial_run(value, shifts, precision, sign, **kwargs)
     return _normalize(tuple([c.shift(w) for c, w in zip(run, shifts)]),
@@ -354,6 +356,8 @@ def negative_binomial_series(value, xdeg=8, precision=DEFAULT_PRECISION,
 
 
 def _product_form(value, xdeg, precision, sign, braces_on_top, kwargs):
+    if xdeg < 0:
+        raise DomainError(f'x-degree must be nonnegative, got {xdeg}')
     # d = -ord {a}_q sizes the brace's working precision, since its m-th
     # power loses (m - 1) d; ord {a}_q = floor(a), as {a + n}_q =
     # q^n {a}_q and {f}_q = 1 + O(q) for 0 <= f < 1
@@ -377,8 +381,6 @@ def _expand_product(brace, xdeg, work, sign, braces_on_top):
     # c[k][m] is needed to work + m d.  While factors with j < d remain,
     # they can still carry a coefficient up one power of y for q^j, less
     # than the d that power costs, hence the extra (xdeg - k)(d - j).
-    if xdeg < 0:
-        return _normalize((), xdeg + 1)
     d = max(0, -brace.order)
     top = work + xdeg * d
     c = [[[0] * top for m in range(k + 1)] for k in range(xdeg + 1)]

@@ -28,24 +28,26 @@ raise DomainError.
 """
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
 
 from .errors import DomainError
 from .polynomial import IntPolynomial
-from .qcore import ContinuedFraction
+from .qcore import ContinuedFraction, _Record
 
 # path-steps a listing may hold (the CLI benchmark pool's largest is 374)
 LISTING_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class SnakePath:
+class SnakePath(_Record):
     """A northeast path, as a step string over {'E', 'N'}."""
-    steps: str
-    weight: int
+
+    _fields = ('steps', 'weight')
+
+    def __init__(self, steps, weight):
+        object.__setattr__(self, 'steps', steps)
+        object.__setattr__(self, 'weight', weight)
 
     @property
     def initial_ups(self):
@@ -136,17 +138,18 @@ class SnakeGraph:
 
     def paths_with_initial_ups(self, j):
         """Paths that start with at least j consecutive up steps."""
+        if j < 0:
+            raise DomainError(f'up-step minimum must be nonnegative, got {j}')
         return tuple(p for p in self.paths if p.initial_ups >= j)
 
     def class_polynomial(self, j):
         """Weight polynomial of the paths with at least j initial up steps."""
         # they climb the leftmost column to (0, j) at no weight first,
         # which stays on the snake while that column is j cells tall
-        if j > sum(1 for cx, _ in self.cells if cx == 0):
+        if not 0 <= j <= sum(1 for cx, _ in self.cells if cx == 0):
             raise DomainError(
                 f'no path in the snake of {self.fraction} starts with {j} up '
                 'steps')
-        j = max(j, 0)
         if j not in self._classes:
             self._classes[j] = _polynomial(self.cells, (0, j), self.end)
         return self._classes[j]

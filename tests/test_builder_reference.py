@@ -18,10 +18,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qreals import ConvergentSequence, PeriodicContinuedFraction
-from qreals.errors import InsufficientPrecisionError
+from qreals.errors import DomainError, InsufficientPrecisionError
 from qreals.qbinomial import (binomial_order, q_binomial_series,
                               q_factorial_poly)
 from qreals.qcore import q_brace, q_brace_series, q_rational, q_real_series
@@ -282,7 +283,10 @@ def test_integer_sums_keep_exact_zeros():
 
 
 def test_no_x_coefficients_below_degree_zero():
+    # a negative x-degree is outside the domain, for both routes
     for fn in [route[0] for route in PRODUCTS + SUMS]:
         for value in (Fraction(1, 2), Fraction(-7, 3), 3, PERIODIC[0]):
-            assert fn(value, -1, 5).to_json() == {
-                'xlength': 0, 'precision': 5, 'coefficients': []}
+            for xdeg in (-1, -5):
+                with pytest.raises(DomainError, match='x-degree'):
+                    fn(value, xdeg, 5)
+            assert fn(value, 0, 5).xlength == 1

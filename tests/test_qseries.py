@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from qreals import (InsufficientPrecisionError, IntPolynomial, LaurentSeries,
-                    PeriodicContinuedFraction, QRationalFunction, q_brace,
-                    q_rational, ratfun, series_from_ratfun)
+from qreals import (DomainError, InsufficientPrecisionError, IntPolynomial,
+                    LaurentSeries, PeriodicContinuedFraction,
+                    QRationalFunction, RationalValue, q_brace, q_rational,
+                    ratfun, series_from_ratfun)
+from qreals.cli import main
 from qreals.qseries import (XSeries, binomial_coefficients, binomial_product,
                             binomial_series, generalized_pochhammer,
                             negative_binomial_coefficients,
@@ -223,3 +225,20 @@ def test_generalized_pochhammer_is_binomial_at_negated_x():
     gp = generalized_pochhammer(value, xdeg=5, precision=18)
     alt = binomial_series(value, xdeg=5, precision=18).substitute_x(-1)
     assert gp.agrees_with(alt, 6, 18)
+
+
+@pytest.mark.parametrize('xdeg', [-1, -5])
+def test_negative_x_degree_is_a_domain_error(xdeg):
+    value = RationalValue(Fraction(5, 3))
+    for build in (binomial_series, negative_binomial_series,
+                  binomial_product, negative_binomial_product):
+        with pytest.raises(DomainError, match='x-degree'):
+            build(value, xdeg, 8)
+
+
+@pytest.mark.parametrize('family', ['B', 'b'])
+def test_cli_negative_xdeg_is_a_one_line_usage_error(capsys, family):
+    code = main(['series', family, '5/3', '--xdeg', '-1'])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, '')
+    assert captured.err == 'error: xdeg must be at least 0\n'

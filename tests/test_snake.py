@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qreals import (DomainError, IntPolynomial, poly_gcd, q_binomial,
                     q_factorial, q_rational, ratfun)
+from qreals.cli import main
 from qreals.snake import LISTING_BUDGET, SnakeGraph
 
 
@@ -77,7 +78,10 @@ def test_polynomials_and_listing_match_the_recursive_reference(r):
         assert g.denominator_polynomial() == _reference_polynomial(reduced)
     else:
         assert g.denominator_polynomial() == IntPolynomial.one()
-    for j in range(-1, g.end[1] + 2):
+    for bad in (g.paths_with_initial_ups, g.class_polynomial):
+        with pytest.raises(DomainError):
+            bad(-1)
+    for j in range(g.end[1] + 2):
         chosen = [(s, w) for s, w in listing
                   if len(s) - len(s.lstrip('N')) >= j]
         assert [(p.steps, p.weight)
@@ -242,3 +246,11 @@ def test_tuples_need_enough_initial_up_room():
         g.tuple_polynomial(4)
     with pytest.raises(DomainError):
         g.path_tuples(4)
+
+
+def test_cli_negative_minimum_ups_is_a_domain_error(capsys):
+    code = main(['snake', 'paths', '5/2', '-3'])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, '')
+    assert captured.err == ('domain error: up-step minimum must be '
+                            'nonnegative, got -3\n')
