@@ -37,7 +37,8 @@ class IntPolynomial:
 
     @classmethod
     def monomial(cls, coeff, exponent):
-        assert exponent >= 0
+        if exponent < 0:
+            raise ValueError(f'negative exponent {exponent}')
         if coeff == 0:
             return cls()
         return cls((0,) * exponent + (coeff,))
@@ -131,15 +132,7 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0
-        result = IntPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, IntPolynomial.one())
 
     def __call__(self, x):
         """Evaluate at x (int or Fraction) by Horner's rule."""
@@ -150,7 +143,8 @@ class IntPolynomial:
 
     def shift(self, k):
         """Multiply by q**k; k must be >= 0."""
-        assert k >= 0
+        if k < 0:
+            raise ValueError(f'negative shift {k}')
         if not self._coeffs:
             return self
         return IntPolynomial((0,) * k + self._coeffs)
@@ -212,6 +206,19 @@ class IntPolynomial:
 
     def __repr__(self):
         return f'IntPolynomial({self._coeffs!r})'
+
+
+def _power(x, n, one):
+    """x ** n by square-and-multiply, for an int n >= 0."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f'power must be a nonnegative int, got {n!r}')
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        x = x * x
+        n >>= 1
+    return result
 
 
 def _plain_coefficient(c, alone):

@@ -11,15 +11,16 @@ recurrences rely on.
 
 Both routes rest on the shift law [x + t]_q = [t]_q + q^t [x]_q, which
 holds for every real x (Morier-Genoud and Ovsienko, "q-deformed
-rationals and q-continued fractions", Forum Math. Sigma 8, 2020).  With
-(1 - q)[t]_q = 1 - q^t it reads
+rationals and q-continued fractions", Forum Math. Sigma 8, 2020), in its
+brace form {x + t}_q = q^t {x}_q.  Writing {x}_q = -q^lo C / D, and with
+(1 - q)[t]_q = 1 - q^t, it reads
 
     (1 - q) D [x + t]_q = D + q^(lo + t) C
 
 for every integer t.  For rational x with [x]_q = q^e N / D, lo =
 min(0, e) and C = (1 - q) q^(e - lo) N - q^(-lo) D are exact, with
-about deg N + deg D terms; for irrational x, D = 1, lo = 0 and C is
-(1 - q)[x]_q - 1, a series read once.
+about deg N + deg D terms (qcore._shift_law); for irrational x, D = 1,
+lo = 0 and C is -{x}_q, a series read once.
 
 Exactly, 1 - q divides C + q^(j - lo) D, so [r - j]_q = q^(lo - j) h_j
 / D with the polynomial h_j = (C + q^(j - lo) D) / (1 - q), and
@@ -46,11 +47,9 @@ from functools import lru_cache
 from .errors import DomainError, InsufficientPrecisionError
 from .polynomial import IntPolynomial
 from .qcore import (DEFAULT_PRECISION, _as_rational, _factor_order,
-                    _floor_and_order, q_rational, q_real_series)
+                    _floor_and_order, _shift_law, q_brace_series)
 from .ratfun import QRationalFunction, ratfun
 from .series import LaurentSeries
-
-_ONE_MINUS_Q = LaurentSeries.from_polynomial(IntPolynomial((1, -1)))
 
 
 def q_factorial(n):
@@ -83,21 +82,6 @@ def q_pochhammer(x, n, inverse_base=False):
         e = -i if inverse_base else i
         out = out * (1 - QRationalFunction.q_power(e) * x)
     return out
-
-
-def _shift_law(r):
-    """(lo, D, C) for a rational r: polynomials D and C with
-
-        (1 - q) D [r + t]_q = D + q^(lo + t) C
-
-    for every integer t, where [r]_q = q^e N / D, lo = min(0, e) and
-    C = (1 - q) q^(e - lo) N - q^(-lo) D.  This is the shift law
-    [r + t]_q = [t]_q + q^t [r]_q, with (1 - q)[t]_q = 1 - q^t.
-    """
-    rf = q_rational(r)
-    lo = min(0, rf.e)
-    a = rf.num.shift(rf.e - lo)
-    return lo, rf.den, a - a.shift(1) - rf.den.shift(-lo)
 
 
 @lru_cache(maxsize=128)
@@ -169,19 +153,19 @@ def q_binomial(r, k):
     return ratfun(k * lo - k * (k - 1) // 2, num, bottom, reduced=True)
 
 
-def shift_numerator(value, precision=None, **kwargs):
+def shift_numerator(value, precision=None):
     """The numerators of the shift law for [x + t]_q.
 
     Returns (D, f) with [x + t]_q = f(t) / ((1 - q) D) for every integer
     t, where f(t) = D + q^(lo + t) C (module docstring).  For rational
     x, D and f(t) are exact (_shift_law).  For irrational x, D is 1 and
-    [x]_q is read once, to `precision` (kwargs go to q_real_series), so
-    f(t) is known below q^(precision + t).
+    q^lo C = -{x}_q is read once, to `precision`, so f(t) is known below
+    q^(precision + t).
     """
     r = _as_rational(value)
     if r is None:
         den = LaurentSeries.one()
-        top = _ONE_MINUS_Q * q_real_series(value, precision, **kwargs) - 1
+        top = -q_brace_series(value, precision)
     else:
         lo, d, c = _shift_law(r)
         den = LaurentSeries.from_polynomial(d)
@@ -189,7 +173,7 @@ def shift_numerator(value, precision=None, **kwargs):
     return den, lambda t: den + top.shift(t)
 
 
-def binomial_run(value, shifts, precision, sign=-1, **kwargs):
+def binomial_run(value, shifts, precision, sign=-1):
     """Binomials of a rational or real x, each to be placed at q^shifts[k].
 
     With sign -1 these are binom(x, k)_q, with sign +1 binom(x+k-1, k)_q,
@@ -212,7 +196,7 @@ def binomial_run(value, shifts, precision, sign=-1, **kwargs):
     with the exact orders of rationals and periodic continued fractions
     none does.
     """
-    n, b = _floor_and_order(value, **kwargs)
+    n, b = _floor_and_order(value)
     steps = [_factor_order(n, b, sign * k) for k in range(len(shifts) - 1)]
     orders = list(itertools.accumulate(steps, initial=0))
     lows = [o + s for o, s in zip(orders, shifts)]
@@ -226,7 +210,7 @@ def binomial_run(value, shifts, precision, sign=-1, **kwargs):
     if taken:
         den, numerator = shift_numerator(
             value, max(works[k + 1] + steps[k] - sign * k
-                       for k in range(taken)), **kwargs)
+                       for k in range(taken)))
     for k in range(taken):
         run = run.truncate(run.precision - works[k] + works[k + 1])
         run = (run * numerator(sign * k) / den
@@ -252,7 +236,7 @@ def binomial_order(value, k):
     return sum(_factor_order(n, b, -j) for j in range(k))
 
 
-def q_binomial_series(value, k, precision=DEFAULT_PRECISION, **kwargs):
+def q_binomial_series(value, k, precision=DEFAULT_PRECISION):
     """binom(value, k)_q as a Laurent series, for real or rational value.
 
     The last binomial of one binomial_run, so an irrational upper index
@@ -262,5 +246,5 @@ def q_binomial_series(value, k, precision=DEFAULT_PRECISION, **kwargs):
         return LaurentSeries.zero()
     if k == 0:
         return LaurentSeries.one()
-    run = binomial_run(value, [math.inf] * k + [0], precision, **kwargs)
+    run = binomial_run(value, [math.inf] * k + [0], precision)
     return run[-1].truncate(precision)

@@ -15,7 +15,10 @@ A real number is handled through a sequence of rational approximations:
 the Taylor coefficients of the approximants' deformations stabilize, and
 the stabilized series is the deformation of the real.  Convergents of
 the regular continued fraction of the target are the canonical choice of
-approximants, but any sequence converging to the target works.
+approximants, but any sequence converging to the target works; when
+they count as settled is one heuristic rule, _settle.  The shift law in
+its brace form {x + t}_q = q^t {x}_q, {x}_q = 1 + (q - 1)[x]_q, is the
+one place every deformed factor [x + t]_q is derived (_shift_law).
 
 Every rational takes one path.  The tower is a product of 2x2 matrices
 of polynomials, one per level, each with determinant -q^a (Morier-Genoud
@@ -30,6 +33,7 @@ cheap.
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -121,10 +125,7 @@ class ContinuedFraction(_Record):
         return cls(terms)
 
     def value(self):
-        v = Fraction(self.terms[-1])
-        for a in reversed(self.terms[:-1]):
-            v = a + 1 / v
-        return v
+        return _fold(self.terms)
 
     def __len__(self):
         return len(self.terms)
@@ -134,6 +135,14 @@ class ContinuedFraction(_Record):
 
     def __repr__(self):
         return f'ContinuedFraction({list(self.terms)})'
+
+
+def _fold(terms):
+    """a1 + 1/(a2 + 1/(... + 1/an)) for a non-empty list of positive terms."""
+    v = Fraction(terms[-1])
+    for a in reversed(terms[:-1]):
+        v = a + 1 / v
+    return v
 
 
 def _times_qint(p, a):
@@ -189,15 +198,29 @@ def q_rational_series(r, precision):
     return series_from_ratfun(q_rational(r), precision)
 
 
+def _shift_law(r):
+    """(lo, D, C) for a rational r: polynomials D and C with
+
+        (1 - q) D [r + t]_q = D + q^(lo + t) C
+
+    for every integer t, where [r]_q = q^e N / D, lo = min(0, e) and
+    C = (1 - q) q^(e - lo) N - q^(-lo) D.  This is the shift law
+    [r + t]_q = [t]_q + q^t [r]_q, with (1 - q)[t]_q = 1 - q^t; at t = 0
+    it reads {r}_q = -q^lo C / D.
+    """
+    rf = q_rational(r)
+    lo = min(0, rf.e)
+    a = rf.num.shift(rf.e - lo)
+    return lo, rf.den, a - a.shift(1) - rf.den.shift(-lo)
+
+
 def q_brace(r):
     """{r}_q = 1 + (q - 1)[r]_q, the q-deformed fractional bracket."""
     # at q = 1 the tower is the classical one, so D(1) is, up to the
-    # content, the denominator of r: q - 1 does not divide D, and the
-    # numerator D + (q - 1)q^e N shares no factor with it
-    rf = q_rational(r)
-    low = min(0, rf.e)
-    num = (rf.num.shift(1) - rf.num).shift(rf.e - low) + rf.den.shift(-low)
-    return ratfun(low, num, rf.den, reduced=True)
+    # content, the denominator of r: q - 1 does not divide D, and -C,
+    # which is D modulo q - 1, shares no factor with it
+    lo, den, c = _shift_law(r)
+    return ratfun(lo, -c, den, reduced=True)
 
 
 _Q_MINUS_ONE = LaurentSeries.from_polynomial(IntPolynomial((-1, 1)))
@@ -297,56 +320,63 @@ def parse_real_spec(text):
     m = _LIST_RE.match(text)
     if m:
         terms = [int(a) for a in m.group(1).split(',') if a.strip()]
-        cf = ContinuedFraction(terms)
-        return RationalValue(cf.value())
+        if not terms or 0 in terms:
+            raise DomainError(
+                f'a finite continued fraction needs positive terms: {text!r}')
+        return RationalValue(_fold(terms))
     try:
         return RationalValue(Fraction(text))
     except (ValueError, ZeroDivisionError):
         raise DomainError(f'cannot parse real spec: {text!r}')
 
 
-def q_real_series(value, precision=DEFAULT_PRECISION, window=STABLE_WINDOW,
-                  budget=CONVERGENT_BUDGET):
+def _settle(items, same, what, value):
+    """The item that ends the first run of STABLE_WINDOW consecutive
+    items, each of which `same` finds equal to the one before it, among
+    the first CONVERGENT_BUDGET items.
+
+    A heuristic, not a theorem: approximants that agree for a while need
+    not agree with their limit.  Raises NonConvergenceError, its message
+    naming `what` and `value`, when the budget runs out first.
+    """
+    last, run = None, 0
+    for item in itertools.islice(items, CONVERGENT_BUDGET):
+        run = run + 1 if run and same(item, last) else 1
+        if run >= STABLE_WINDOW:
+            return item
+        last = item
+    raise NonConvergenceError(
+        f'no run of {STABLE_WINDOW} {what} within {CONVERGENT_BUDGET} '
+        f'terms for {value}')
+
+
+def q_real_series(value, precision=DEFAULT_PRECISION):
     """Deformation of a real number as a stabilized Laurent series.
 
-    Expands successive approximants until `window` consecutive ones give
-    identical coefficients below q^precision, and returns that series.
-    Raises NonConvergenceError when `budget` approximants are exhausted
-    first.
+    Expands successive approximants until STABLE_WINDOW consecutive ones
+    give identical coefficients below q^precision, and returns that
+    series.  Raises NonConvergenceError when CONVERGENT_BUDGET
+    approximants are exhausted first (_settle).
     """
     r = _as_rational(value)
     if r is not None:
         return q_rational_series(r, precision)
-    run = 0
-    last = None
-    for i, c in enumerate(value.convergents()):
-        if i >= budget:
-            break
-        s = q_rational_series(c, precision)
-        if last is not None and s.agrees_with(last, precision):
-            run += 1
-        else:
-            run = 1
-        if run >= window:
-            return s
-        last = s
-    raise NonConvergenceError(
-        f'no run of {window} agreeing approximants below q^{precision} '
-        f'within {budget} terms for {value}')
+    return _settle(
+        (q_rational_series(c, precision) for c in value.convergents()),
+        lambda s, last: s.agrees_with(last, precision),
+        f'agreeing approximants below q^{precision}', value)
 
 
-def q_brace_series(value, precision=DEFAULT_PRECISION, **kwargs):
+def q_brace_series(value, precision=DEFAULT_PRECISION):
     """{x}_q = 1 + (q - 1)[x]_q for a real x, as a stabilized series."""
-    s = q_real_series(value, precision, **kwargs)
-    return 1 + _Q_MINUS_ONE * s
+    return 1 + _Q_MINUS_ONE * q_real_series(value, precision)
 
 
-def order_at_zero(value, precision=DEFAULT_PRECISION):
+def order_at_zero(value):
     """q-adic order of the deformation of a rational or real number.
 
-    Read off _floor_and_order, so no series is built (precision is not
-    used) and the order is exact for rationals and periodic continued
-    fractions.
+    Read off _floor_and_order, so no series is built and the order is
+    exact for rationals and periodic continued fractions.
     """
     return _factor_order(*_floor_and_order(value), 0)
 
@@ -358,7 +388,7 @@ def _as_rational(value):
     return value.value if value.is_rational else None
 
 
-def _floor_and_order(value, window=STABLE_WINDOW, budget=CONVERGENT_BUDGET):
+def _floor_and_order(value):
     """(n, b): the floor n of a rational or real x and b = ord [x - n]_q.
 
     The pair fixes the order of every [x + t]_q: 0 when n + t > 0, b when
@@ -367,9 +397,8 @@ def _floor_and_order(value, window=STABLE_WINDOW, budget=CONVERGENT_BUDGET):
     a = floor(1/f), so ord [f]_q is a, or a - 1 when f = 1/a: that is
     ceil(1/f) - 1, and b is math.inf for integers.  A periodic continued
     fraction [a0; a1, ...] therefore gives (a0, a1) exactly.  Any other
-    approximant sequence gives the pair its approximants settle on for
-    `window` consecutive terms, the heuristic q_real_series applies to
-    their series, within the same budget.
+    approximant sequence gives the pair its approximants settle on
+    (_settle, the heuristic q_real_series applies to their series).
     """
     r = _as_rational(value)
     if r is not None:
@@ -378,16 +407,8 @@ def _floor_and_order(value, window=STABLE_WINDOW, budget=CONVERGENT_BUDGET):
     if isinstance(value, PeriodicContinuedFraction):
         terms = value.terms()
         return next(terms), next(terms)
-    last, run = None, 0
-    for c in itertools.islice(value.convergents(), budget):
-        pair = _floor_and_order(c)
-        run = run + 1 if pair == last else 1
-        if run >= window:
-            return pair
-        last = pair
-    raise NonConvergenceError(
-        f'no run of {window} approximants with one floor and fractional '
-        f'order within {budget} terms for {value}')
+    return _settle(map(_floor_and_order, value.convergents()), operator.eq,
+                   'approximants with one floor and fractional order', value)
 
 
 def _factor_order(n, b, t):

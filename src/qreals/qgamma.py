@@ -10,7 +10,8 @@ classical power series for (1-q)^(1-a).  Each kernel term sits at q-order
 k(k+1)/2 + ord(binom(a-1, k)), which grows strictly once k passes
 floor(a-1), so finitely many terms settle any finite precision.
 Arguments below 1 are reached through gamma(a) = gamma(a+1) / [a]_q,
-which leaves poles at the nonpositive integers.
+which leaves poles at the nonpositive integers: gamma(a + m) on [1, 2)
+divided by the exact factors [a + j]_q, j < m, of the shift law.
 
 The Gamma values of non-integer rationals are full Laurent series with
 unbounded rational coefficients, yet the reflection product
@@ -19,11 +20,14 @@ coefficients; the helpers here assert that collapse and raise
 IntegralityError if it ever fails, since a violation can only mean an
 arithmetic bug.
 
-Every factor the kernel and the Pochhammer product apply is exact: the
-kernel's binomials come from qbinomial.binomial_run, and the Pochhammer
-factor 1 - q^j {a}_q is (1 - q)[a + j]_q, applied as multiplication by
-(1 - q^j) D and division by the exact shift-law numerator of [a + j]_q.
-An exact factor moves a series' precision by exactly its order.
+Every factor the kernel, the descent below 1 and the Pochhammer product
+apply is exact, and all come from the brace law {a + j}_q = q^j {a}_q:
+the kernel's binomials from qbinomial.binomial_run, the factor
+[a + j]_q as f(j) / ((1 - q) D) with the shift-law numerator f(j) of
+qbinomial.shift_numerator, and the Pochhammer factor 1 - q^j {a}_q,
+which is (1 - q)[a + j]_q, as multiplication by (1 - q^j) D and
+division by f(j).  An exact factor moves a series' precision by exactly
+its order.
 
 Precision policy: each function returns a series known to exactly the
 precision it is given, and none of them retries.  The precision after
@@ -40,10 +44,9 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, InsufficientPrecisionError, IntegralityError
-from .qcore import (DEFAULT_PRECISION, _factor_order, _floor_and_order,
-                    q_rational)
+from .qcore import DEFAULT_PRECISION, _factor_order, _floor_and_order
 from .qbinomial import binomial_order, binomial_run, shift_numerator
-from .series import LaurentSeries, _canonical, series_from_ratfun
+from .series import LaurentSeries, _canonical
 
 
 def scalar_binomial_series(value, precision):
@@ -120,16 +123,15 @@ def q_gamma(value, precision=DEFAULT_PRECISION):
         kernel = _kernel_series(r - 1, precision)
         return (kernel * scalar_binomial_series(r, precision)) \
             .truncate(precision)
-    # climb to [1, 2) and divide by the skipped factors; their combined
-    # q-order fixes how much extra precision the division consumes
+    # climb to [1, 2) and divide by the skipped factors [r + j]_q =
+    # f(j) / ((1 - q) D); they are exact, so only their combined q-order
+    # -_gamma_order(r) is consumed from the precision
     m = math.ceil(1 - r)
-    den = q_rational(r)
-    for j in range(1, m):
-        den = den * q_rational(r + j)
-    o = den.order
-    top = q_gamma(r + m, precision + max(0, o))
-    bottom = series_from_ratfun(den, precision + max(0, 2 * o))
-    return (top / bottom).truncate(precision)
+    out = q_gamma(r + m, precision + max(0, -_gamma_order(r)))
+    den, numerator = shift_numerator(r)
+    for j in range(m):
+        out = out * (den - den.shift(1)) / numerator(j)
+    return out.truncate(precision)
 
 
 def pochhammer_at_q(value, precision):
@@ -155,8 +157,8 @@ def pochhammer_at_q(value, precision):
         return LaurentSeries.zero(precision)
     # factor j differs from 1 at q-order min(j, j + ord {r}) on a
     # product of order `order`, so the factors from work + d on are
-    # invisible; ord {r} is read off D {r}_q = D - f(0)
-    d = max(0, -(den - numerator(0)).order)
+    # invisible; ord {r}_q = floor(r), as in the brace law
+    d = max(0, -math.floor(r))
     out = LaurentSeries.one().truncate(work)
     for j in range(1, work + d):
         out = out * (den - den.shift(j)) / numerator(j)

@@ -330,40 +330,38 @@ def negative_binomial_coefficients(r, count):
     return tuple([q_binomial(r + k - 1, k) for k in range(count)])
 
 
-def _binomial_sum(value, xdeg, precision, sign, weight, kwargs):
+def _binomial_sum(value, xdeg, precision, sign, weight):
     if xdeg < 0:
         raise DomainError(f'x-degree must be nonnegative, got {xdeg}')
     shifts = [weight(k) for k in range(xdeg + 1)]
-    run = binomial_run(value, shifts, precision, sign, **kwargs)
+    run = binomial_run(value, shifts, precision, sign)
     return _normalize(tuple([c.shift(w) for c, w in zip(run, shifts)]),
                       xdeg + 1, precision)
 
 
-def binomial_series(value, xdeg=8, precision=DEFAULT_PRECISION, **kwargs):
+def binomial_series(value, xdeg=8, precision=DEFAULT_PRECISION):
     """Deformation of (1+x)^value as a sum over binomials.
 
     The x^k coefficient is q^(k(k-1)/2) binom(value, k)_q; value may be
     a rational or any real specification accepted by q_real_series.
     """
     return _binomial_sum(value, xdeg, precision, -1,
-                         lambda k: k * (k - 1) // 2, kwargs)
+                         lambda k: k * (k - 1) // 2)
 
 
-def negative_binomial_series(value, xdeg=8, precision=DEFAULT_PRECISION,
-                             **kwargs):
+def negative_binomial_series(value, xdeg=8, precision=DEFAULT_PRECISION):
     """Deformation of 1/(1-x)^value; x^k coefficient binom(value+k-1, k)_q."""
-    return _binomial_sum(value, xdeg, precision, 1, lambda k: 0, kwargs)
+    return _binomial_sum(value, xdeg, precision, 1, lambda k: 0)
 
 
-def _product_form(value, xdeg, precision, sign, braces_on_top, kwargs):
+def _product_form(value, xdeg, precision, sign, braces_on_top):
     if xdeg < 0:
         raise DomainError(f'x-degree must be nonnegative, got {xdeg}')
     # d = -ord {a}_q sizes the brace's working precision, since its m-th
     # power loses (m - 1) d; ord {a}_q = floor(a), as {a + n}_q =
     # q^n {a}_q and {f}_q = 1 + O(q) for 0 <= f < 1
-    d = max(0, -_floor_and_order(value, **kwargs)[0])
-    brace = q_brace_series(value, precision + max(0, xdeg - 1) * d,
-                           **kwargs)
+    d = max(0, -_floor_and_order(value)[0])
+    brace = q_brace_series(value, precision + max(0, xdeg - 1) * d)
     out = _expand_product(brace, xdeg, precision, sign, braces_on_top)
     if out.precision < precision:
         raise InsufficientPrecisionError(
@@ -413,25 +411,23 @@ def _expand_product(brace, xdeg, work, sign, braces_on_top):
     return _normalize(tuple(coeffs), xdeg + 1)
 
 
-def binomial_product(value, xdeg=8, precision=DEFAULT_PRECISION, **kwargs):
+def binomial_product(value, xdeg=8, precision=DEFAULT_PRECISION):
     """Product route to the deformed (1+x)^value:
 
         (1 + x)(1 + qx)(1 + q^2 x)... / (1 + {a}x)(1 + {a+1}x)...
     """
-    return _product_form(value, xdeg, precision, 1, False, kwargs)
+    return _product_form(value, xdeg, precision, 1, False)
 
 
-def negative_binomial_product(value, xdeg=8, precision=DEFAULT_PRECISION,
-                              **kwargs):
+def negative_binomial_product(value, xdeg=8, precision=DEFAULT_PRECISION):
     """Product route to the deformed 1/(1-x)^value:
 
         (1 - {a}x)(1 - {a+1}x)... / (1 - x)(1 - qx)(1 - q^2 x)...
     """
-    return _product_form(value, xdeg, precision, -1, True, kwargs)
+    return _product_form(value, xdeg, precision, -1, True)
 
 
-def generalized_pochhammer(value, xdeg=8, precision=DEFAULT_PRECISION,
-                           **kwargs):
+def generalized_pochhammer(value, xdeg=8, precision=DEFAULT_PRECISION):
     """(x; q)_value, the Pochhammer symbol with real length:
 
         (1 - x)(1 - qx)... / (1 - {a}x)(1 - {a+1}x)...
@@ -439,7 +435,7 @@ def generalized_pochhammer(value, xdeg=8, precision=DEFAULT_PRECISION,
     Restricts to the ordinary (x; q)_n for positive integers, and is
     the reciprocal of the deformed 1/(1-x)^value.
     """
-    return _product_form(value, xdeg, precision, -1, False, kwargs)
+    return _product_form(value, xdeg, precision, -1, False)
 
 
 def q_derivative(f):

@@ -14,7 +14,7 @@ classmethod constructors; the raw __init__ trusts its arguments.
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-from .polynomial import IntPolynomial, format_terms, poly_gcd
+from .polynomial import IntPolynomial, _power, format_terms, poly_gcd
 
 _ONE = IntPolynomial.one()
 
@@ -157,17 +157,9 @@ class QRationalFunction:
         return other * self.reciprocal()
 
     def __pow__(self, n):
-        assert isinstance(n, int)
-        if n < 0:
+        if isinstance(n, int) and n < 0:
             return self.reciprocal() ** (-n)
-        result = QRationalFunction.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, QRationalFunction.one())
 
     def substitute_q_inverse(self):
         """The value at q -> 1/q, renormalized."""

@@ -59,7 +59,7 @@ import math
 from fractions import Fraction
 
 from .errors import InsufficientPrecisionError
-from .polynomial import IntPolynomial, format_terms
+from .polynomial import IntPolynomial, _power, format_terms
 
 
 class LaurentSeries:
@@ -262,15 +262,7 @@ class LaurentSeries:
         return other / self
 
     def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0
-        result = LaurentSeries.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, LaurentSeries.one())
 
     def shift(self, k):
         """Multiply by q**k."""

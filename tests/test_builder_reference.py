@@ -8,7 +8,9 @@ brace factor a full-length series, every rational sum coefficient an
 exact rational function expanded by series_from_ratfun, every
 irrational sum coefficient a product of full-length [value + n] series
 divided by [k]_q!, every Gamma kernel factor [a-k]/[k+1] a full-length
-series, and every Pochhammer divisor the expanded series 1 - q^j {a}_q.
+series, every Pochhammer divisor the expanded series 1 - q^j {a}_q, and
+Gamma below 1 the series of gamma(a + m) divided by the expanded exact
+product of the rational functions [a + j]_q.
 References whose precision loss has no closed form rebuild at a doubled
 pad until they reach their target.  Whole to_json() outputs must agree,
 exact zeros and precisions included.
@@ -26,7 +28,7 @@ from qreals.errors import DomainError, InsufficientPrecisionError
 from qreals.qbinomial import (binomial_order, q_binomial_series,
                               q_factorial_poly)
 from qreals.qcore import q_brace, q_brace_series, q_rational, q_real_series
-from qreals.qgamma import _kernel_series, pochhammer_at_q
+from qreals.qgamma import _kernel_series, pochhammer_at_q, q_gamma
 from qreals.qseries import (XSeries, binomial_coefficients, binomial_product,
                             binomial_series, generalized_pochhammer,
                             negative_binomial_coefficients,
@@ -164,6 +166,19 @@ def reference_pochhammer(r, precision):
     return padded(build, precision, 2 * max(0, -o) + 2)
 
 
+def reference_gamma(r, precision):
+    # gamma(r + m) on [1, 2) over [r]_q [r + 1]_q ... [r + m - 1]_q, the
+    # product taken as gcd-reduced rational functions and expanded once
+    m = math.ceil(1 - r)
+    den = q_rational(r)
+    for j in range(1, m):
+        den = den * q_rational(r + j)
+    o = den.order
+    top = q_gamma(r + m, precision + max(0, o))
+    bottom = series_from_ratfun(den, precision + max(0, 2 * o))
+    return (top / bottom).truncate(precision)
+
+
 # ---------------------------------------------------------------------------
 # inputs: denominators up to 12 with brace orders 2 down to -3, which
 # are the rationals in [-3, 3); integers among them give exact zeros
@@ -267,6 +282,26 @@ def test_gamma_kernel_matches_full_length_factors(a, precision):
 def test_pochhammer_matches_expanded_divisors(r, precision):
     want = reference_pochhammer(r, precision)
     assert pochhammer_at_q(r, precision).to_json() == want.to_json()
+
+
+# the arguments below 1 of the Gamma panel of test_precision.py, and two
+# whose descents divide by 31 and 41 factors
+DESCENT_ARGS = [Fraction(1, 3), Fraction(-5, 2), Fraction(-29, 10),
+                Fraction(-5, 6), Fraction(-17, 4), Fraction(-61, 2),
+                Fraction(-121, 3)]
+
+
+@pytest.mark.parametrize('r', DESCENT_ARGS, ids=str)
+@pytest.mark.parametrize('precision', [1, 8, 32])
+def test_gamma_below_one_matches_ratfun_descent(r, precision):
+    assert q_gamma(r, precision) == reference_gamma(r, precision)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rationals(low=-20, high=1).filter(lambda r: r.denominator > 1),
+       st.sampled_from([1, 8, 32]))
+def test_gamma_descent_matches_on_a_random_panel(r, precision):
+    assert q_gamma(r, precision) == reference_gamma(r, precision)
 
 
 def test_integer_sums_keep_exact_zeros():

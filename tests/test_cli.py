@@ -46,6 +46,15 @@ def test_eval_rational_defaults_to_ratfun(capsys):
                    ' + q^8)\n')
 
 
+@pytest.mark.parametrize('terms, value', [
+    ('[2,3,1]', '9/4'), ('[2]', '2'), ('[2,3,1,5]', '52/23')])
+def test_eval_finite_continued_fraction_of_any_length(capsys, terms, value):
+    code, out, err = run(capsys, 'eval', terms)
+    ref_code, ref_out, _ = run(capsys, 'eval', value)
+    assert code == ref_code == 0 and err == ''
+    assert out.split(' = ')[1] == ref_out.split(' = ')[1]
+
+
 def test_eval_integer_ratfun(capsys):
     code, out, _ = run(capsys, 'eval', '4', '--form', 'ratfun')
     assert code == 0

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qreals.polynomial import IntPolynomial, format_terms, poly_gcd
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def P(*coeffs):
@@ -116,3 +122,26 @@ def test_gcd_absorbs_common_factor(a, b, m):
     # the normalized version of m (its gcd with itself) must divide g
     m_normal = poly_gcd(m, m)
     assert g.divide_exact(m_normal) * m_normal == g
+
+
+def test_bad_powers_and_shifts_raise_under_python_O():
+    # the checks must not be asserts: under -O a negative power would
+    # square forever and a negative shift would be ignored
+    calls = ['IntPolynomial((1, 2)) ** -1', 'IntPolynomial((1, 2)) ** 1.5',
+             'LaurentSeries.one() ** -2',
+             'QRationalFunction.from_integer(2) ** 0.5',
+             'IntPolynomial((1, 2)).shift(-1)', 'IntPolynomial.monomial(1, -2)']
+    script = '\n'.join([
+        'from qreals import IntPolynomial, LaurentSeries, QRationalFunction',
+        'for call in %r:' % calls,
+        '    try:',
+        '        eval(call)',
+        '    except Exception as err:',
+        '        print(type(err).__name__)',
+        '    else:',
+        '        print("returned")'])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / 'src'))
+    done = subprocess.run([sys.executable, '-O', '-c', script],
+                          capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().split() == ['ValueError'] * len(calls)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import qreals.identities as identities
-import qreals.qbinomial as qbinomial
+import qreals.qcore as qcore
 import qreals.qgamma as qgamma
 import qreals.qseries as qseries
 from qreals import (ConvergentSequence, InsufficientPrecisionError,
@@ -131,7 +131,7 @@ IRRATIONALS = [SILVER, PeriodicContinuedFraction((), (1,)),
     lambda v: q_binomial_series(v, 4, P)],
     ids=['B', 'b', 'binom1', 'binom4'])
 def test_irrational_binomials_read_the_value_once(monkeypatch, build, value):
-    calls = _counting(monkeypatch, qbinomial, 'q_real_series')
+    calls = _counting(monkeypatch, qcore, 'q_real_series')
     build(value)
     assert len(calls) == 1
 

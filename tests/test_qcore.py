@@ -350,9 +350,11 @@ def test_convergent_sequence_agrees_with_cf_route():
     assert s.coefficients(0, 10) == [1, 1, 0, 0, 1, 0, -2, 1, 4, -5]
 
 
-def test_non_convergence_raises():
-    with pytest.raises(NonConvergenceError):
-        q_real_series(pell(), 20, budget=3)
+def test_non_convergence_raises(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(qcore, 'CONVERGENT_BUDGET', 3)
+        with pytest.raises(NonConvergenceError):
+            q_real_series(pell(), 20)
 
     def stuck():
         return iter([Fraction(3, 2), Fraction(5, 3)] * 50)
@@ -372,7 +374,24 @@ def test_order_at_zero():
         return (1 / c for c in gen)
 
     # sqrt(2) - 1 lies in (0, 1), so its order must be at least 1
-    assert order_at_zero(ConvergentSequence(inv_pell), 12) >= 1
+    assert order_at_zero(ConvergentSequence(inv_pell)) >= 1
+
+
+def test_non_convergence_messages():
+    # 3/2 and 5/3 differ below q^8 and in the order of their fractional
+    # parts, 3/2 and 5/2 in their floors: neither sequence ever settles
+    stuck_series = ConvergentSequence(
+        lambda: iter([Fraction(3, 2), Fraction(5, 3)] * 50), 'stuck')
+    stuck_floor = ConvergentSequence(
+        lambda: iter([Fraction(3, 2), Fraction(5, 2)] * 50), 'stuck')
+    with pytest.raises(NonConvergenceError) as err:
+        q_real_series(stuck_series, 8)
+    assert str(err.value) == ('no run of 3 agreeing approximants below q^8 '
+                              'within 64 terms for stuck')
+    with pytest.raises(NonConvergenceError) as err:
+        order_at_zero(stuck_floor)
+    assert str(err.value) == ('no run of 3 approximants with one floor and '
+                              'fractional order within 64 terms for stuck')
 
 
 # -- parsing ----------------------------------------------------------------
@@ -384,6 +403,10 @@ def test_parse_real_spec_forms():
     assert v.value == 3
     v = parse_real_spec('[2,3,1,5]')
     assert isinstance(v, RationalValue) and v.value == Fraction(52, 23)
+    # any length: [2; 3, 1] = [2; 4] = 9/4
+    assert parse_real_spec('[2,3,1]').value == Fraction(9, 4)
+    assert parse_real_spec('[2, 4]').value == Fraction(9, 4)
+    assert parse_real_spec('[2]').value == 2
     v = parse_real_spec('[2;(2)]')
     assert isinstance(v, PeriodicContinuedFraction)
     assert v.head == (2,) and v.period == (2,)
@@ -392,6 +415,6 @@ def test_parse_real_spec_forms():
 
 
 def test_parse_real_spec_rejects_garbage():
-    for bad in ('', 'q', '[2,3,1]', '[;()]', '1/0'):
+    for bad in ('', 'q', '[2,0]', '[0]', '[,]', '[;()]', '1/0'):
         with pytest.raises(DomainError):
             parse_real_spec(bad)
