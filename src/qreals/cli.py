@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 usage, 2 domain error, 3 non-convergence,
 not an error: the command exits 0.
 """
 
-import argparse
 import json
 import os
 import re
@@ -34,21 +33,6 @@ EXIT_IDENTITY = 4
 
 DEFAULT_PREC = 32
 DEFAULT_XDEG = 8
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # a negative integer or rational such as -7/3 is a value, not an
-        # option; argparse itself recognizes only negative decimals
-        self._negative_number_matcher = re.compile(
-            r'^-\d+(/\d+)?$|^-\d*\.\d+$')
-
-    # argparse exits with 2 on bad flags; the contract reserves 2 for
-    # domain errors and uses 1 for usage problems
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f'{self.prog}: error: {message}\n')
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +277,30 @@ def _env_precision():
     return value
 
 
+def _parser_class():
+    # imported here, not at the top: importing this module loads no
+    # argparse, only running a command does
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # a negative integer or rational such as -7/3 is a value, not
+            # an option; argparse itself recognizes only negative decimals
+            self._negative_number_matcher = re.compile(
+                r'^-\d+(/\d+)?$|^-\d*\.\d+$')
+
+        # argparse exits with 2 on bad flags; the contract reserves 2 for
+        # domain errors and uses 1 for usage problems
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f'{self.prog}: error: {message}\n')
+
+    return _Parser
+
+
 def _build_parser():
+    _Parser = _parser_class()
     env_prec = _env_precision()
 
     common = _Parser(add_help=False)

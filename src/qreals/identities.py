@@ -15,13 +15,12 @@ an unexpected verdict.
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, IntegralityError
 from .polynomial import IntPolynomial
 from .qbinomial import binomial_order, q_binomial, q_factorial, q_pochhammer
-from .qcore import (DEFAULT_PRECISION, order_at_zero, q_brace,
+from .qcore import (DEFAULT_PRECISION, _Record, order_at_zero, q_brace,
                     q_brace_series, q_integer, q_rational)
 from .qgamma import (gamma_power, gamma_reflection, pochhammer_at_q, q_gamma,
                      _gamma_order, _pochhammer_order)
@@ -32,16 +31,15 @@ from .ratfun import QRationalFunction, ratfun
 from .series import LaurentSeries, series_from_ratfun
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(_Record):
     """Outcome of checking one identity at one parameter binding."""
 
-    identity: str
-    binding: dict
-    mode: str
-    equal: bool
-    expect_equal: bool
-    witness: tuple = None
+    _fields = ('identity', 'binding', 'mode', 'equal', 'expect_equal',
+               'witness')
+
+    def __init__(self, identity, binding, mode, equal, expect_equal,
+                 witness=None):
+        self._bind(identity, binding, mode, equal, expect_equal, witness)
 
     @property
     def ok(self):
@@ -55,17 +53,15 @@ class IdentityCase:
         return f'{self.identity}({args}) [{self.mode}] {state}: {tag}'
 
 
-@dataclass(frozen=True)
-class _Entry:
-    ident: str
-    summary: str
-    params: tuple
-    sample: callable
-    check: callable
-    default_mode: str = 'exact'
-    modes: tuple = ('exact', 'series')
-    expect_equal: bool = True
-    max_trials: int = None
+class _Entry(_Record):
+    _fields = ('ident', 'summary', 'params', 'sample', 'check',
+               'default_mode', 'modes', 'expect_equal', 'max_trials')
+
+    def __init__(self, ident, summary, params, sample, check,
+                 default_mode='exact', modes=('exact', 'series'),
+                 expect_equal=True, max_trials=None):
+        self._bind(ident, summary, params, sample, check, default_mode,
+                   modes, expect_equal, max_trials)
 
 
 def _qpow(e):
@@ -703,15 +699,13 @@ def verify_identity(identity, binding, mode=None,
                         witness)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(_Record):
     """All cases from one run_suite call, with formatting helpers."""
 
-    seed: int
-    trials: int
-    precision: int
-    xdeg: int
-    cases: tuple
+    _fields = ('seed', 'trials', 'precision', 'xdeg', 'cases')
+
+    def __init__(self, seed, trials, precision, xdeg, cases):
+        self._bind(seed, trials, precision, xdeg, cases)
 
     @property
     def unexpected(self):

@@ -5,8 +5,28 @@ order of exponent with no trailing zeros; the zero polynomial is the empty
 tuple.  Instances are immutable and hashable.  Coefficient arithmetic is
 plain Python int arithmetic, so there is no overflow and no rounding.
 
-The gcd returned by poly_gcd is primitive (content 1) and normalized so
-that its lowest-order nonzero coefficient is positive.
+The gcd returned by poly_gcd is primitive (content 1), normalized so
+that its lowest-order nonzero coefficient is positive, and carries the
+common power of q of its operands.
+
+poly_gcd is GCDHEU (Char, Geddes and Gonnet, "GCDHEU: heuristic
+polynomial GCD algorithm based on integer GCD computation", J. Symbolic
+Comput. 7, 1989).  With the common power of q and the contents stripped,
+a and b are evaluated at an integer ξ, one integer gcd
+h = gcd(a(ξ), b(ξ)) is taken, and the balanced ξ-adic digits of h, each
+in (-ξ/2, ξ/2], are read as the coefficients of a candidate G.  The
+theorem: if ξ > 2 min(|a|_inf, |b|_inf) + 2 and the primitive part of G
+divides both a and b, it is their gcd.  So a candidate is accepted only
+after exact trial division.  It can fail when h is the true gcd's value
+times an integer s shared by the cofactors' values at ξ and the product
+does not fit in the digits; s divides the cofactors' resultant, so a
+large enough ξ always succeeds.
+
+Any ξ above the bound serves, so ξ = 2^k for the least k that clears it.
+Evaluation is then a Kronecker pack (shift and add, _pack) and reading
+the digits a signed unpack (_unpack).  A rejected candidate squares ξ,
+at most GCD_TRIES times; after that the primitive polynomial remainder
+sequence (_prs_gcd) decides, so every call ends under a fixed budget.
 """
 
 from fractions import Fraction
@@ -82,6 +102,9 @@ class IntPolynomial:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as that int
+        if len(self._coeffs) < 2:
+            return hash(self._coeffs[0]) if self._coeffs else 0
         return hash(self._coeffs)
 
     def __add__(self, other):
@@ -155,12 +178,7 @@ class IntPolynomial:
 
     def content(self):
         """gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self._coeffs:
-            g = _int_gcd(g, abs(c))
-            if g == 1:
-                break
-        return g
+        return _int_gcd(*self._coeffs)
 
     def primitive_part(self):
         """self / content, with unchanged signs; zero stays zero."""
@@ -172,32 +190,15 @@ class IntPolynomial:
     def divide_exact(self, divisor):
         """Exact quotient self / divisor over the integers.
 
-        Raises ValueError if the division leaves a remainder or a
-        non-integer coefficient would be produced.
+        Raises ValueError if divisor does not divide self in Z[q].
         """
         if divisor.is_zero:
             raise ZeroDivisionError('polynomial division by zero')
         if self.is_zero:
             return self
-        a = list(self._coeffs)
-        b = divisor._coeffs
-        db = len(b) - 1
-        lead = b[-1]
-        n = len(a) - 1 - db
-        if n < 0:
-            raise ValueError('not divisible: degree too small')
-        out = [0] * (n + 1)
-        for i in range(n, -1, -1):
-            c = a[i + db]
-            if c % lead:
-                raise ValueError('not divisible over the integers')
-            c //= lead
-            out[i] = c
-            if c:
-                for j, bj in enumerate(b):
-                    a[i + j] -= c * bj
-        if any(a):
-            raise ValueError('not divisible: nonzero remainder')
+        out = _quotient(self._coeffs, divisor._coeffs)
+        if out is None:
+            raise ValueError('not divisible over the integers')
         return IntPolynomial(out)
 
     def __str__(self):
@@ -260,23 +261,67 @@ def format_terms(terms, var='q', coefficient=_plain_coefficient,
     return out
 
 
-def _pseudo_remainder(a, b):
-    """prem(a, b): lc(b)^(deg a - deg b + 1) * a reduced mod b, over Z."""
-    ra = list(a._coeffs)
-    rb = b._coeffs
-    db = len(rb) - 1
-    lead = rb[-1]
-    steps = len(ra) - len(rb) + 1
-    for i in range(steps - 1, -1, -1):
-        top = ra[i + db]
-        if top:
-            for j in range(len(ra)):
-                ra[j] *= lead
-            for j, bj in enumerate(rb):
-                ra[i + j] -= top * bj
-        # ra[i + db] is now 0; keep list length, stripped by constructor
-        ra[i + db] = 0
-    return IntPolynomial(ra[:db] if db else ())
+# the ξ = 2^k values poly_gcd tries before it falls back to the primitive PRS
+GCD_TRIES = 6
+
+
+def _pack(coeffs, k):
+    """The integer sum of c_i 2^(k i): coeffs evaluated at q = 2^k."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << k) + c
+    return acc
+
+
+def _unpack(n, k):
+    """Balanced base-2^k digits of n, lowest first, for k >= 2.
+
+    Each digit lies in (-2^(k-1), 2^(k-1)], so _pack(_unpack(n, k), k)
+    is n, and _unpack(_pack(c, k), k) is c when every |c_i| < 2^(k-1).
+    """
+    mask = (1 << k) - 1
+    half = 1 << (k - 1)
+    out = []
+    while n:
+        d = n & mask
+        n >>= k
+        if d > half:
+            d -= mask + 1
+            n += 1
+        out.append(d)
+    return out
+
+
+def _quotient(a, b):
+    """Coefficients of a / b when b divides a in Z[q], else None."""
+    db = len(b) - 1
+    n = len(a) - 1 - db
+    if n < 0:
+        return None
+    a = list(a)
+    lead = b[-1]
+    out = [0] * (n + 1)
+    for i in range(n, -1, -1):
+        c, r = divmod(a[i + db], lead)
+        if r:
+            return None
+        out[i] = c
+        if c:
+            for j, bj in enumerate(b):
+                a[i + j] -= c * bj
+    return None if any(a) else out
+
+
+def _primitive(coeffs):
+    """coeffs divided by their gcd, as a tuple, signs unchanged."""
+    g = _int_gcd(*coeffs)
+    if g == 1:
+        return tuple(coeffs)
+    return tuple([c // g for c in coeffs])
+
+
+def _positive_lowest(coeffs):
+    return coeffs if coeffs[0] > 0 else tuple([-c for c in coeffs])
 
 
 def _signed_primitive(p):
@@ -289,30 +334,79 @@ def _signed_primitive(p):
     return p
 
 
+def _xi_bits(a, b):
+    """Least k with 2^k > 2 min(|a|_inf, |b|_inf) + 2, the GCDHEU bound."""
+    return (2 * min(max(map(abs, a)), max(map(abs, b))) + 2).bit_length()
+
+
+def _heu_gcd(a, b):
+    """gcd of primitive a, b (nonconstant, nonzero constant terms) by
+    GCDHEU, or None when GCD_TRIES values of ξ gave no candidate that
+    divides both."""
+    k = _xi_bits(a, b)
+    for _ in range(GCD_TRIES):
+        # h > 0: ξ exceeds every root of the operand of least norm
+        h = _int_gcd(_pack(a, k), _pack(b, k))
+        g = _primitive(_unpack(h, k))
+        if len(g) == 1:
+            return (1,)
+        if g[0] and _quotient(a, g) is not None \
+                and _quotient(b, g) is not None:
+            return _positive_lowest(g)
+        k += k
+    return None
+
+
+def _pseudo_remainder(a, b):
+    """prem(a, b): lc(b)^(deg a - deg b + 1) * a reduced mod b, over Z,
+    on coefficient sequences with len(a) >= len(b)."""
+    ra = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    for i in range(len(ra) - len(b), -1, -1):
+        top = ra[i + db]
+        if top:
+            for j in range(len(ra)):
+                ra[j] *= lead
+            for j, bj in enumerate(b):
+                ra[i + j] -= top * bj
+    del ra[db:]
+    while ra and not ra[-1]:
+        ra.pop()
+    return ra
+
+
+def _prs_gcd(a, b):
+    """gcd of primitive a, b (nonconstant, nonzero constant terms) by the
+    primitive polynomial remainder sequence."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return _positive_lowest(b)
+        a, b = b, _primitive(r)
+    return (1,)
+
+
 def poly_gcd(a, b):
     """Greatest common divisor in Z[q], primitive and sign-normalized.
 
-    Uses the primitive polynomial remainder sequence, which keeps
-    coefficient growth tame at these degrees.  gcd(0, 0) = 0.
+    GCDHEU, as the module docstring describes: one integer gcd at
+    ξ = 2^k above the theorem's bound, a candidate kept only if it
+    divides both operands, ξ squared up to GCD_TRIES times, then the
+    primitive PRS.  Once the common power of q is stripped, a constant
+    operand gives gcd 1 with no evaluation.  gcd(0, b) is b made
+    primitive, and gcd(0, 0) = 0.
     """
     if a.is_zero:
         return _signed_primitive(b)
     if b.is_zero:
         return _signed_primitive(a)
     va, vb = a.valuation, b.valuation
-    v = min(va, vb)
-    if va:
-        a = IntPolynomial(a.coeffs[va:])
-    if vb:
-        b = IntPolynomial(b.coeffs[vb:])
-    a = a.primitive_part()
-    b = b.primitive_part()
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero:
-        if b.degree == 0:
-            a = IntPolynomial.one()
-            break
-        r = _pseudo_remainder(a, b)
-        a, b = b, r.primitive_part()
-    return _signed_primitive(a).shift(v)
+    a, b = a._coeffs[va:], b._coeffs[vb:]
+    if len(a) == 1 or len(b) == 1:
+        return IntPolynomial((0,) * min(va, vb) + (1,))
+    a, b = _primitive(a), _primitive(b)
+    g = _heu_gcd(a, b) or _prs_gcd(a, b)
+    return IntPolynomial((0,) * min(va, vb) + g)

@@ -66,6 +66,10 @@ class _Record:
 
     _fields = ()
 
+    def _bind(self, *values):
+        """Set the fields, in the order of _fields, once at construction."""
+        self.__dict__.update(zip(self._fields, values))
+
     def _values(self):
         return tuple(getattr(self, f) for f in self._fields)
 

@@ -84,6 +84,10 @@ class QRationalFunction:
                 and self._den == other._den)
 
     def __hash__(self):
+        # a polynomial value equals its IntPolynomial (and through it an
+        # int), so it hashes as that polynomial
+        if self._e >= 0 and self._den == _ONE:
+            return hash(self._num.shift(self._e))
         return hash((self._e, self._num, self._den))
 
     def __neg__(self):

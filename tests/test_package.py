@@ -1,8 +1,8 @@
 """The package surface and the frozen records.
 
 `qreals` imports five of its modules on first use of one of their names,
-and the records in qcore and snake are hand-written classes; neither may
-change what a user sees.
+and the records in qcore, snake and identities are hand-written classes;
+neither may change what a user sees.
 """
 
 import importlib
@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import qreals
+from qreals.identities import IdentityCase, SuiteReport, _Entry
 from qreals.qcore import (ContinuedFraction, PeriodicContinuedFraction,
                           RationalValue)
 from qreals.snake import SnakePath
@@ -66,7 +67,24 @@ _REFERENCES = {
         frozen=True),
     SnakePath: make_dataclass('SnakePath', [('steps', str), ('weight', int)],
                               frozen=True),
+    IdentityCase: make_dataclass(
+        'IdentityCase', [('identity', str), ('binding', dict), ('mode', str),
+                         ('equal', bool), ('expect_equal', bool),
+                         ('witness', tuple, None)], frozen=True),
+    _Entry: make_dataclass(
+        '_Entry', [('ident', str), ('summary', str), ('params', tuple),
+                   ('sample', callable), ('check', callable),
+                   ('default_mode', str, 'exact'),
+                   ('modes', tuple, ('exact', 'series')),
+                   ('expect_equal', bool, True), ('max_trials', int, None)],
+        frozen=True),
+    SuiteReport: make_dataclass(
+        'SuiteReport', [('seed', int), ('trials', int), ('precision', int),
+                        ('xdeg', int), ('cases', tuple)], frozen=True),
 }
+
+_CASE = IdentityCase('PASCAL_A', {'alpha': Fraction(5, 3), 'k': 2}, 'exact',
+                     True, True)
 
 RECORDS = [
     (RationalValue, {'value': Fraction(5, 3)}, {'value': Fraction(-7, 2)}),
@@ -74,7 +92,29 @@ RECORDS = [
      {'head': (), 'period': (1,)}),
     (SnakePath, {'steps': 'NEEN', 'weight': 2},
      {'steps': 'EENN', 'weight': 0}),
+    (IdentityCase,
+     {'identity': 'PASCAL_A', 'binding': {'alpha': Fraction(5, 3), 'k': 2},
+      'mode': 'exact', 'equal': True, 'expect_equal': True, 'witness': None},
+     {'identity': 'BRACE_NON_ADD', 'binding': {}, 'mode': 'exact',
+      'equal': True, 'expect_equal': False, 'witness': ('1', '2')}),
+    (_Entry,
+     {'ident': 'X', 'summary': 'x', 'params': ('alpha',), 'sample': len,
+      'check': abs, 'default_mode': 'exact', 'modes': ('exact', 'series'),
+      'expect_equal': True, 'max_trials': None},
+     {'ident': 'Y', 'summary': 'y', 'params': (), 'sample': len,
+      'check': abs, 'default_mode': 'series', 'modes': ('series',),
+      'expect_equal': False, 'max_trials': 3}),
+    (SuiteReport,
+     {'seed': 7, 'trials': 1, 'precision': 32, 'xdeg': 5, 'cases': (_CASE,)},
+     {'seed': 8, 'trials': 2, 'precision': 16, 'xdeg': 3, 'cases': ()}),
 ]
+
+
+def _hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError as err:    # a dict field makes the record unhashable
+        return str(err)
 
 
 @pytest.mark.parametrize('cls, fields, other', RECORDS)
@@ -85,8 +125,9 @@ def test_record_matches_a_frozen_dataclass(cls, fields, other):
     assert cls(*fields.values()) == a
     assert (a == b, a == c, a != c) == (ra == ref(**fields), ra == rc,
                                         ra != rc)
-    assert hash(a) == hash(ra) == hash(tuple(fields.values()))
-    assert hash(c) == hash(rc)
+    assert _hash_or_error(a) == _hash_or_error(ra) \
+        == _hash_or_error(tuple(fields.values()))
+    assert _hash_or_error(c) == _hash_or_error(rc)
     assert (repr(a), repr(c)) == (repr(ra), repr(rc))
     # equality holds only between instances of one class
     assert a != ra and a != tuple(fields.values())
@@ -102,6 +143,20 @@ def test_record_matches_a_frozen_dataclass(cls, fields, other):
         a.extra = 1
     with pytest.raises(TypeError):
         cls(**fields, extra=1)
+
+
+@pytest.mark.parametrize('cls, required', [
+    (IdentityCase, ('PASCAL_A', {'k': 2}, 'exact', True, True)),
+    (_Entry, ('X', 'x', ('alpha',), len, abs)),
+])
+def test_record_defaults_match_the_dataclass(cls, required):
+    ref = _REFERENCES[cls]
+    a, ra = cls(*required), ref(*required)
+    assert repr(a) == repr(ra)
+    for name in cls._fields:
+        assert getattr(a, name) == getattr(ra, name)
+    with pytest.raises(TypeError):
+        cls(*required[:-1])
 
 
 def test_record_validation_is_kept():

@@ -160,3 +160,45 @@ def test_evaluate_is_homomorphism(a, x):
         return
     b = a + 1
     assert b.evaluate(x) == ax + 1
+
+
+def _forms(p, k, d):
+    """The value p as an IntPolynomial, as rational functions built three
+    ways, and, when p is a constant, as an int."""
+    forms = [p, QRationalFunction.from_polynomial(p),
+             ratfun(-k, p.shift(k), P(1)), ratfun(0, p * d, d)]
+    if p.degree < 1:
+        forms.append(p.coefficient(0))
+    return forms
+
+
+@given(small_polys, st.integers(min_value=0, max_value=3),
+       small_polys.filter(bool))
+def test_equal_values_hash_alike(p, k, d):
+    forms = _forms(p, k, d)
+    for x in forms:
+        for y in forms:
+            assert x == y
+            assert hash(x) == hash(y)
+    assert len(set(forms)) == 1
+
+
+values = st.one_of(st.integers(min_value=-3, max_value=3), small_polys,
+                   rationals)
+
+
+@given(values, values)
+def test_equality_implies_equal_hashes(x, y):
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+def test_constants_and_polynomials_collapse_in_sets():
+    assert len({IntPolynomial((5,)), 5}) == 1
+    assert len({QRationalFunction.from_integer(5), IntPolynomial((5,)),
+                5}) == 1
+    assert len({QRationalFunction.zero(), IntPolynomial(), 0}) == 1
+    assert len({ratfun(2, P(1, 1), P(1)), P(0, 0, 1, 1)}) == 1
+    # q^-1 and (1 + q)/(1 - q) equal no polynomial
+    assert QRationalFunction.q_power(-1) != P(0, 1)
+    assert RF(0, (1, 1), (1, -1)) != P(1, 1)

@@ -49,6 +49,8 @@ def test_import_loads_no_lazy_module(code):
     modules = _loaded(code)
     assert not modules & set(LAZY)
     assert 'dataclasses' not in modules
+    # the parser is built, and argparse imported, only when a command runs
+    assert 'argparse' not in modules
 
 
 @pytest.mark.parametrize('argv, extra', [
@@ -73,3 +75,4 @@ def test_identity_run_loads_the_catalog():
                                '--trials', '1'))
     assert _qreals_modules(modules) == CORE | {
         'identities', 'qbinomial', 'qgamma', 'qseries'}
+    assert 'dataclasses' not in modules
