@@ -14,7 +14,7 @@ classmethod constructors; the raw __init__ trusts its arguments.
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-from .polynomial import IntPolynomial, _power, format_terms, poly_gcd
+from .polynomial import IntPolynomial, _gcd_cofactors, _power, format_terms
 
 _ONE = IntPolynomial.one()
 
@@ -105,15 +105,14 @@ class QRationalFunction:
         n1 = self._num.shift(self._e - e)
         n2 = other._num.shift(other._e - e)
         d1, d2 = self._den, other._den
-        g = poly_gcd(d1, d2)
+        g, d1_red, d2_red = _gcd_cofactors(d1, d2)
         if g == _ONE:
             return ratfun(e, n1 * d2 + n2 * d1, d1 * d2, reduced=True)
-        d2_red = d2.divide_exact(g)
-        t = n1 * d2_red + n2 * d1.divide_exact(g)
-        g2 = poly_gcd(t, g)
+        t = n1 * d2_red + n2 * d1_red
+        g2, t_red, g_red = _gcd_cofactors(t, g)
         if g2 != _ONE:
-            t = t.divide_exact(g2)
-            d1 = d1.divide_exact(g2)
+            t = t_red
+            d1 = g_red * d1_red
         # Knuth 4.5.1: t and d1*d2_red now share at most integer content
         return ratfun(e, t, d1 * d2_red, reduced=True)
 
@@ -134,8 +133,8 @@ class QRationalFunction:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return QRationalFunction.zero()
-        n1, d2 = _cross_reduce(self._num, other._den)
-        n2, d1 = _cross_reduce(other._num, self._den)
+        _, n1, d2 = _gcd_cofactors(self._num, other._den)
+        _, n2, d1 = _gcd_cofactors(other._num, self._den)
         return ratfun(self._e + other._e, n1 * n2, d1 * d2, reduced=True)
 
     __rmul__ = __mul__
@@ -211,14 +210,6 @@ class QRationalFunction:
         return f'QRationalFunction(e={self._e}, num={self._num!r}, den={self._den!r})'
 
 
-def _cross_reduce(num, den):
-    g = poly_gcd(num, den)
-    if g != _ONE:
-        num = num.divide_exact(g)
-        den = den.divide_exact(g)
-    return num, den
-
-
 def _coerce(x):
     if isinstance(x, QRationalFunction):
         return x
@@ -250,10 +241,7 @@ def ratfun(e, num, den, reduced=False):
         den = IntPolynomial(den.coeffs[vd:])
     e += vn - vd
     if not reduced:
-        g = poly_gcd(num, den)
-        if g != _ONE:
-            num = num.divide_exact(g)
-            den = den.divide_exact(g)
+        _, num, den = _gcd_cofactors(num, den)
     c = _int_gcd(num.content(), den.content())
     if c > 1:
         num = IntPolynomial([x // c for x in num.coeffs])

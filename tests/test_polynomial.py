@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import subprocess
@@ -288,3 +289,164 @@ def test_bad_powers_and_shifts_raise_under_python_O():
                           capture_output=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout.decode().split() == ['ValueError'] * len(calls)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker multiplication against a schoolbook product written here
+
+def schoolbook(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+@st.composite
+def mul_operands(draw):
+    """Coefficient lists from 0 to 40 terms (so len(a) len(b) falls on
+    both sides of KRONECKER_SIZE), up to 2^80 in size, with internal
+    zero runs, an integer content and either sign at both ends."""
+    bits = draw(st.sampled_from([1, 4, 20, 80]))
+    coeffs = draw(st.lists(st.integers(min_value=-2 ** bits,
+                                       max_value=2 ** bits), max_size=40))
+    if len(coeffs) > 3 and draw(st.booleans()):
+        i = draw(st.integers(min_value=1, max_value=len(coeffs) - 2))
+        j = draw(st.integers(min_value=i, max_value=len(coeffs) - 1))
+        coeffs[i:j] = [0] * (j - i)
+    content = draw(st.sampled_from([1, -1, 6, -2 ** 66]))
+    return [content * c for c in coeffs]
+
+
+@contextlib.contextmanager
+def packing_from(size):
+    """Products with len(a) len(b) >= size take the packed path."""
+    saved = polynomial.KRONECKER_SIZE
+    polynomial.KRONECKER_SIZE = size
+    try:
+        yield
+    finally:
+        polynomial.KRONECKER_SIZE = saved
+
+
+@given(mul_operands(), mul_operands())
+def test_mul_equals_schoolbook(a, b):
+    want = schoolbook(a, b)
+    assert (P(*a) * P(*b)).coeffs == want
+    # every nonconstant product packed, then none of them
+    for size in (0, 10 ** 9):
+        with packing_from(size):
+            assert (P(*a) * P(*b)).coeffs == want
+
+
+@given(mul_operands(), st.integers(min_value=-2 ** 80, max_value=2 ** 80))
+def test_mul_by_an_int(a, n):
+    want = schoolbook(a, [n])
+    assert (P(*a) * n).coeffs == want
+    assert (n * P(*a)).coeffs == want
+    assert (P(*a) * P(n)).coeffs == want
+
+
+@pytest.mark.parametrize('la, lb', [(1, 200), (7, 9), (8, 8), (5, 13),
+                                    (2, 40), (40, 2), (64, 1)])
+def test_mul_at_the_threshold(la, lb):
+    # 63, 64 and 65 coefficient pairs and constant operands; equal
+    # coefficients of either sign make a product coefficient reach the
+    # digit bound |a|_inf |b|_inf min(la, lb) itself
+    big = 2 ** 80
+    for a, b in (([big] * la, [big] * lb), ([big] * la, [-big] * lb),
+                 ([(-1) ** i * big for i in range(la)],
+                  [-big] + [big - i for i in range(1, lb)])):
+        assert (P(*a) * P(*b)).coeffs == schoolbook(a, b)
+        a[0] = 0
+        b[-1] = -1
+        assert (P(*a) * P(*b)).coeffs == schoolbook(a, b)
+
+
+def test_mul_with_zero_operands():
+    for p in (P(), P(3), P(1, -2, 0, 0, 7)):
+        assert (p * P()).is_zero and (P() * p).is_zero
+        assert (p * 0).is_zero and (0 * p).is_zero
+
+
+@given(mul_operands().filter(any), mul_operands().filter(any))
+def test_product_of_nonzero_leads_has_a_nonzero_lead(a, b):
+    pa, pb = P(*a), P(*b)
+    c = pa * pb
+    assert c.degree == pa.degree + pb.degree
+    assert c.coeffs[-1] == pa.coeffs[-1] * pb.coeffs[-1] != 0
+
+
+def test_power_of_one_minus_q_is_binomial():
+    # square-and-multiply takes products on both sides of the threshold
+    for n in range(0, 70):
+        assert (P(1, -1) ** n).coeffs == tuple(
+            (-1) ** k * math.comb(n, k) for k in range(n + 1))
+    assert P(2, 1) ** 0 == P(1)
+
+
+def test_public_constructor_checks_coefficient_types():
+    for bad, name in ((1.5, 'float'), (Fraction(1, 2), 'Fraction'),
+                      ('1', 'str')):
+        with pytest.raises(TypeError,
+                           match=f'int coefficient expected, got {name}'):
+            IntPolynomial([1, bad, 2])
+
+
+# ---------------------------------------------------------------------------
+# the gcd's cofactors and the packing of long inputs
+
+@given(gcd_operands())
+def test_gcd_cofactors(ab):
+    a, b = ab
+    g, qa, qb = polynomial._gcd_cofactors(a, b)
+    assert g == poly_gcd(a, b)
+    if g:
+        assert g * qa == a and g * qb == b
+    else:
+        assert not (a or b or qa or qb)
+    saved = polynomial.GCD_TRIES
+    polynomial.GCD_TRIES = 0
+    try:
+        assert polynomial._gcd_cofactors(a, b) == (g, qa, qb)
+    finally:
+        polynomial.GCD_TRIES = saved
+
+
+def test_gcd_cofactors_of_zero_and_q_powers():
+    cofactors = polynomial._gcd_cofactors
+    assert cofactors(P(), P(0, -2, -4)) == (P(0, 1, 2), P(), P(-2))
+    assert cofactors(P(0, 6, 0, 9), P()) == (P(0, 2, 0, 3), P(3), P())
+    assert cofactors(P(), P()) == (P(), P(), P())
+    assert cofactors(P(0, 0, 6, 6), P(0, 4, 4)) == (P(0, 1, 1), P(0, 6),
+                                                    P(4))
+    assert cofactors(P(0, 3), P(0, 0, 1, 1)) == (P(0, 1), P(3), P(0, 1, 1))
+
+
+def unpack_digit_by_digit(n, k):
+    """Balanced base-2^k digits of n, lowest first, one at a time."""
+    out = []
+    while n:
+        d = n % (1 << k)
+        if d > 1 << (k - 1):
+            d -= 1 << k
+        out.append(d)
+        n = (n - d) >> k
+    return out
+
+
+@given(st.lists(st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+                max_size=300),
+       st.integers(min_value=2, max_value=80),
+       st.integers(min_value=-2 ** 9000, max_value=2 ** 9000))
+def test_pack_unpack_split_long_inputs(coeffs, k, n):
+    # past _PACK_LEAF digits both halve their input
+    assert polynomial._pack(coeffs, k) == sum(
+        c << (k * i) for i, c in enumerate(coeffs))
+    assert polynomial._unpack(n, k) == unpack_digit_by_digit(n, k)
+    small = [c % (1 << (k - 1)) - (1 << (k - 2)) for c in coeffs]
+    while small and not small[-1]:
+        small.pop()
+    assert polynomial._unpack(polynomial._pack(small, k), k) == small

@@ -80,12 +80,13 @@ def test_binomial_matches_ratfun_product_at_integers():
 
 def test_binomial_takes_no_gcd(monkeypatch):
     calls = []
-    inner = ratfun_module.poly_gcd
+    inner = ratfun_module._gcd_cofactors
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
-    monkeypatch.setattr(ratfun_module, 'poly_gcd', counted)
+    # every gcd the rational functions take goes through _gcd_cofactors
+    monkeypatch.setattr(ratfun_module, '_gcd_cofactors', counted)
     _q_rational_cached.cache_clear()
     for r in (Fraction(5, 3), Fraction(-7, 4), Fraction(31, 40), 0, 5, -3):
         for k in range(9):

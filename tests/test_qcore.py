@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import qreals.qcore as qcore
 from qreals.errors import DomainError, NonConvergenceError
-from qreals.polynomial import IntPolynomial, poly_gcd
+from qreals.polynomial import IntPolynomial, _gcd_cofactors
 from qreals.qcore import (ContinuedFraction, ConvergentSequence,
                           PeriodicContinuedFraction, RationalValue,
                           order_at_zero, parse_real_spec, q_brace,
@@ -291,11 +291,12 @@ def test_rational_deformations_take_no_gcd(monkeypatch):
 
     def counting_gcd(a, b):
         calls.append((a, b))
-        return poly_gcd(a, b)
+        return _gcd_cofactors(a, b)
 
-    # the package exports a function named ratfun, so fetch the module
-    monkeypatch.setattr(importlib.import_module('qreals.ratfun'), 'poly_gcd',
-                        counting_gcd)
+    # the package exports a function named ratfun, so fetch the module;
+    # every gcd it takes goes through _gcd_cofactors
+    monkeypatch.setattr(importlib.import_module('qreals.ratfun'),
+                        '_gcd_cofactors', counting_gcd)
     qcore._q_rational_cached.cache_clear()
     for r in (Fraction(52, 23), Fraction(-8, 5), Fraction(1, 40), 0, -3,
               Fraction(12, 5), Fraction(100001, 100000),

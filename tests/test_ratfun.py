@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qreals.polynomial import IntPolynomial
 from qreals.ratfun import QRationalFunction, ratfun
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def P(*coeffs):
@@ -202,3 +209,35 @@ def test_constants_and_polynomials_collapse_in_sets():
     # q^-1 and (1 + q)/(1 - q) equal no polynomial
     assert QRationalFunction.q_power(-1) != P(0, 1)
     assert RF(0, (1, 1), (1, -1)) != P(1, 1)
+
+
+def test_identity_exact_panel_takes_at_most_12515_gcds():
+    # the traced identity-exact benchmark panel: the first 1 000 cases of
+    # seed 7 in a fresh interpreter.  The tracer counts calls to the
+    # public poly_gcd, while the rational functions reach the gcd through
+    # _gcd_cofactors, so this counts those calls directly
+    script = '\n'.join([
+        'import importlib, itertools',
+        'import workloads',
+        'from qreals.identities import verify_identity',
+        'module = importlib.import_module("qreals.ratfun")',
+        'inner, calls = module._gcd_cofactors, []',
+        'def counted(a, b):',
+        '    calls.append(1)',
+        '    return inner(a, b)',
+        'module._gcd_cofactors = counted',
+        'cases = itertools.islice(itertools.chain.from_iterable(',
+        '    workloads.identity_blocks("identity-exact", 7)), 1000)',
+        'ok = all(verify_identity(name, binding,',
+        '                         precision=workloads.PRECISION,',
+        '                         xdeg=workloads.XDEG).ok',
+        '         for name, binding in cases)',
+        'print(ok, len(calls))'])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / 'src'), str(ROOT / 'qbench')]))
+    done = subprocess.run([sys.executable, '-c', script],
+                          capture_output=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr.decode()
+    ok, calls = done.stdout.decode().split()
+    assert ok == 'True'
+    assert 0 < int(calls) <= 12515
