@@ -35,9 +35,11 @@ the factors are never reduced rational functions of their own.
 
 As series, the binomials of any upper index come from one run of short
 factors.  One step of binom(x, k) -> binom(x, k+1) multiplies by the
-numerator at t = -k and divides by D and by 1 - q^(k+1): O(N (deg N +
-deg D)) for N known coefficients, and no exact rational function or gcd
-is formed.
+numerator at t = -k and divides once by D(1 - q^(k+1)), in one
+LaurentSeries.times_ratio: O(N (deg N + deg D)) for N known
+coefficients, and no exact rational function or gcd is formed.  Both
+factor polynomials are offset sums of the integer coefficients of D and
+C.
 """
 
 import itertools
@@ -49,7 +51,7 @@ from .polynomial import IntPolynomial
 from .qcore import (DEFAULT_PRECISION, _as_rational, _factor_order,
                     _floor_and_order, _shift_law, q_brace_series)
 from .ratfun import QRationalFunction, ratfun
-from .series import LaurentSeries
+from .series import LaurentSeries, _canonical
 
 
 def q_factorial(n):
@@ -147,30 +149,48 @@ def q_binomial(r, k):
             factors[i] = p
         if uses:
             bottom = bottom * _cyclotomic(d) ** uses
-    num = IntPolynomial.one()
-    for p in factors:
-        num = num * p
-    return ratfun(k * lo - k * (k - 1) // 2, num, bottom, reduced=True)
+    # a balanced product tree: each product pairs operands of like size
+    while len(factors) > 1:
+        factors = [factors[i] * factors[i + 1] if i + 1 < len(factors)
+                   else factors[i] for i in range(0, len(factors), 2)]
+    return ratfun(k * lo - k * (k - 1) // 2, factors[0], bottom,
+                  reduced=True)
 
 
 def shift_numerator(value, precision=None):
-    """The numerators of the shift law for [x + t]_q.
+    """The numerators of the shift law for [x + t]_q and for [s]_q.
 
-    Returns (D, f) with [x + t]_q = f(t) / ((1 - q) D) for every integer
-    t, where f(t) = D + q^(lo + t) C (module docstring).  For rational
-    x, D and f(t) are exact (_shift_law).  For irrational x, D is 1 and
-    q^lo C = -{x}_q is read once, to `precision`, so f(t) is known below
-    q^(precision + t).
+    Returns (g, f) with (1 - q) D [s]_q = g(s) = D - q^s D and
+    (1 - q) D [x + t]_q = f(t) = D + q^(lo + t) C for all integers s and
+    t (module docstring), so every ratio [x + t]_q / [s]_q is f(t) /
+    g(s).  g(s) is exact.  For rational x, f(t) is exact too
+    (_shift_law), and both are offset sums of integer coefficients.  For
+    irrational x, D is 1 and q^lo C = -{x}_q is read once, to
+    `precision`, so f(t) is known below q^(precision + t).
     """
     r = _as_rational(value)
     if r is None:
-        den = LaurentSeries.one()
         top = -q_brace_series(value, precision)
-    else:
-        lo, d, c = _shift_law(r)
-        den = LaurentSeries.from_polynomial(d)
-        top = LaurentSeries.from_polynomial(c).shift(lo)
-    return den, lambda t: den + top.shift(t)
+        return _q_integer_numerator((1,)), lambda t: top.shift(t) + 1
+    lo, den, c = _shift_law(r)
+    d, c = den.coeffs, c.coeffs
+    return _q_integer_numerator(d), lambda t: _offset_sum(d, c, lo + t)
+
+
+def _q_integer_numerator(d):
+    # s -> D - q^s D for D with int coefficients d
+    minus_d = tuple([-x for x in d])
+    return lambda s: _offset_sum(d, minus_d, s)
+
+
+def _offset_sum(a, b, s):
+    """The exact series a + q^s b of two int coefficient sequences."""
+    lo = min(0, s)
+    acc = [0] * (max(len(a), s + len(b)) - lo)
+    acc[-lo:len(a) - lo] = a
+    for i, y in enumerate(b, s - lo):
+        acc[i] += y
+    return _canonical(lo, acc, 1, math.inf)
 
 
 def binomial_run(value, shifts, precision, sign=-1):
@@ -183,8 +203,9 @@ def binomial_run(value, shifts, precision, sign=-1):
     once no remaining binomial shows below q^precision the run stops, and
     the rest are zero series known to their orders.
 
-    Step k multiplies by [x + sign k]_q / [k+1]_q as f(sign k) / D /
-    (1 - q^(k+1)) (shift_numerator), and the orders of these factors come
+    Step k multiplies by [x + sign k]_q / [k+1]_q as f(sign k) / g(k + 1)
+    (shift_numerator), one division by D(1 - q^(k+1)) in one
+    LaurentSeries.times_ratio, and the orders of these factors come
     from the floor of x and the order of its fractional part.  A binomial
     known to w beyond its order keeps that w through an exact factor, and
     w is cut before every step to what the remaining binomials need.  For
@@ -208,13 +229,12 @@ def binomial_run(value, shifts, precision, sign=-1):
     run = LaurentSeries.one().truncate(works[0])
     out = [run]
     if taken:
-        den, numerator = shift_numerator(
+        base, numerator = shift_numerator(
             value, max(works[k + 1] + steps[k] - sign * k
                        for k in range(taken)))
     for k in range(taken):
         run = run.truncate(run.precision - works[k] + works[k + 1])
-        run = (run * numerator(sign * k) / den
-               / (1 - LaurentSeries.q_power(k + 1)))
+        run = run.times_ratio(numerator(sign * k), base(k + 1))
         if run.precision < precision - shifts[k + 1]:
             raise InsufficientPrecisionError(
                 f'binomial {k + 1} of {value} reached precision '

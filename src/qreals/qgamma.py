@@ -21,18 +21,21 @@ IntegralityError if it ever fails, since a violation can only mean an
 arithmetic bug.
 
 Every factor the kernel, the descent below 1 and the Pochhammer product
-apply is exact, and all come from the brace law {a + j}_q = q^j {a}_q:
-the kernel's binomials from qbinomial.binomial_run, the factor
-[a + j]_q as f(j) / ((1 - q) D) with the shift-law numerator f(j) of
-qbinomial.shift_numerator, and the Pochhammer factor 1 - q^j {a}_q,
-which is (1 - q)[a + j]_q, as multiplication by (1 - q^j) D and
-division by f(j).  An exact factor moves a series' precision by exactly
+apply is exact, and all come from the brace law {a + j}_q = q^j {a}_q
+through the shift-law numerators of qbinomial.shift_numerator:
+(1 - q) D [a + t]_q = f(t) and (1 - q) D [s]_q = g(s), so a ratio of
+deformed factors is one LaurentSeries.times_ratio by f / g.  The kernel
+is the Horner nest H_k = 1 - q^(k+1) H_(k+1) f(-k) / g(k + 1) of its
+binomial factors [a - k]_q / [k + 1]_q, from the last term down to
+H_0, the sum; the descent divides by [a + j]_q as g(1) / f(j); and
+the Pochhammer factor 1 - q^j {a}_q, which is (1 - q)[a + j]_q, enters
+as g(j) / f(j).  An exact factor moves a series' precision by exactly
 its order.
 
 Precision policy: each function returns a series known to exactly the
 precision it is given, and none of them retries.  The precision after
 every factor is known in closed form, so each builds once at a working
-precision sized up front: the kernel from binomial_order, the
+precision sized up front: the kernel nest from its terms' orders, the
 Pochhammer product from its order (_pochhammer_order), gamma_reflection
 and gamma_power from the Gamma orders (_gamma_order: 0 on [1, oo),
 minus the orders of the [a + j]_q divided out below 1).  A result that
@@ -45,7 +48,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InsufficientPrecisionError, IntegralityError
 from .qcore import DEFAULT_PRECISION, _factor_order, _floor_and_order
-from .qbinomial import binomial_order, binomial_run, shift_numerator
+from .qbinomial import binomial_order, shift_numerator
 from .series import LaurentSeries, _canonical
 
 
@@ -89,25 +92,32 @@ def gamma_convergence_report(value, count=8):
 
 
 def _kernel_series(a, precision):
-    # sum over k of (-1)^k q^(k(k+1)/2) binom(a, k)_q, for a >= 0; terms
-    # whose order passes precision are dropped, and once k > floor(a)
-    # the orders only grow, so the loop is finite.  binomial_run knows
-    # each binomial's order, so one run reaches precision (or raises).
-    n = math.floor(a)
-    lows = []
+    # sum over k < K of (-1)^k q^(k(k+1)/2) binom(a, k)_q, for a >= 0, as
+    # the Horner nest H_k = 1 - q^(k+1) H_(k+1) [a - k]_q / [k + 1]_q
+    # with H_(K-1) = 1 and the sum H_0.  Term k sits at order low_k =
+    # k(k+1)/2 + ord binom(a, k), which grows strictly with k for a >= 0,
+    # so K is the first k whose term vanishes or has low_k >= precision.
+    # Nest k is needed to precision - low_k, and each exact factor moves
+    # the precision by its order, low_(k+1) - low_k - (k + 1), so the
+    # nest started at precision - low_(K-1) ends at precision.
+    n, b = _floor_and_order(a)
+    lows = [0]
     for k in itertools.count():
-        o = binomial_order(a, k)
-        if o == math.inf or (k > n and k * (k + 1) // 2 + o >= precision):
+        o = _factor_order(n, b, -k)
+        low = lows[-1] + k + 1 + o
+        if o == math.inf or low >= precision:
             break
-        lows.append(k * (k + 1) // 2 + o)
-    shifts = [k * (k + 1) // 2 for k in range(len(lows))]
-    total = LaurentSeries.zero(precision)
-    for k, binom in enumerate(binomial_run(a, shifts, precision)):
-        if lows[k] >= precision:
-            continue
-        term = binom.truncate(precision - shifts[k]).shift(shifts[k])
-        total = total + (-term if k % 2 else term)
-    return total
+        lows.append(low)
+    base, numerator = shift_numerator(a)
+    nest = LaurentSeries.one().truncate(precision - lows[-1])
+    for k in range(len(lows) - 2, -1, -1):
+        step = nest.times_ratio(numerator(-k), base(k + 1)).shift(k + 1)
+        nest = 1 - step
+    if nest.precision < precision:
+        raise InsufficientPrecisionError(
+            f'Gamma kernel of {a} reached precision {nest.precision}, '
+            f'not {precision}')
+    return nest.truncate(precision)
 
 
 def q_gamma(value, precision=DEFAULT_PRECISION):
@@ -128,9 +138,9 @@ def q_gamma(value, precision=DEFAULT_PRECISION):
     # -_gamma_order(r) is consumed from the precision
     m = math.ceil(1 - r)
     out = q_gamma(r + m, precision + max(0, -_gamma_order(r)))
-    den, numerator = shift_numerator(r)
+    base, numerator = shift_numerator(r)
     for j in range(m):
-        out = out * (den - den.shift(1)) / numerator(j)
+        out = out.times_ratio(base(1), numerator(j))
     return out.truncate(precision)
 
 
@@ -148,9 +158,9 @@ def pochhammer_at_q(value, precision):
         raise DomainError(
             f'Pochhammer product at q diverges for negative integer {r}')
     # 1 - q^j {r}_q = (1 - q)[r + j]_q = f(j) / D exactly, so each factor
-    # multiplies by (1 - q^j) D and divides by f(j); only the divisions
-    # move the order, which ends at _pochhammer_order(r)
-    den, numerator = shift_numerator(r)
+    # is g(j) / f(j), with g(j) = (1 - q^j) D; only the divisions move
+    # the order, which ends at _pochhammer_order(r)
+    base, numerator = shift_numerator(r)
     order = _pochhammer_order(r)
     work = precision - order
     if work <= 0:
@@ -161,7 +171,7 @@ def pochhammer_at_q(value, precision):
     d = max(0, -math.floor(r))
     out = LaurentSeries.one().truncate(work)
     for j in range(1, work + d):
-        out = out * (den - den.shift(j)) / numerator(j)
+        out = out.times_ratio(base(j), numerator(j))
     if out.precision < precision:
         raise InsufficientPrecisionError(
             f'Pochhammer product at q for {value} will not reach '

@@ -30,11 +30,17 @@ Arithmetic propagates precision pessimistically:
     mul:  min(p1 + ord2, p2 + ord1)      (unknown tails shift by the
                                           other factor's order)
     div:  min(p1 - ord2, p2 - 2*ord2 + ord1)
+    times_ratio:  self * num / den for an exact den,
+          min(p_self + ord num, p_num + ord self) - ord den
 
 where a series with no known coefficient contributes its precision in
 place of its order.  Division of two exact series is refused unless the
 divisor is a monomial, since the quotient would in general need
-infinitely many terms; truncate() an operand first.
+infinitely many terms; truncate() an operand first.  times_ratio is the
+composition of mul and div, and refuses what div refuses; it runs one
+multiply and one division on the raw product and forms one canonical
+series at the end, and the builders apply their exact shift-law factors
+with it.
 
 Multiplication convolves the numerators, skipping zero coefficients, over
 the product of the denominators.  Division runs the quotient recurrence
@@ -260,6 +266,43 @@ class LaurentSeries:
         if other is NotImplemented:
             return NotImplemented
         return other / self
+
+    def times_ratio(self, num, den):
+        """self * num / den for an exact den, in one integer pass.
+
+        One _multiply and one _divide on the raw product, with no
+        canonical form in between; the precision is the composition of
+        the two rules (module docstring), and an exact self and num with
+        a divisor that is not a monomial raise as __truediv__ does.
+        """
+        if not den._nums:
+            raise ZeroDivisionError('division by exact zero series')
+        if den._precision != math.inf:
+            raise ValueError('times_ratio needs an exact divisor')
+        o2 = den._order
+        p = min(self._precision + num._eff_order(),
+                num._precision + self._eff_order()) - o2
+        if not self._nums or not num._nums:
+            return LaurentSeries.zero(p)
+        o = self._order + num._order
+        if p == math.inf:
+            if len(den._nums) > 1:
+                raise InsufficientPrecisionError(
+                    'division of exact series would need infinitely many '
+                    'terms; truncate() an operand to a finite precision '
+                    'first')
+            n = len(self._nums) + len(num._nums) - 1
+        else:
+            n = p - o + o2
+        if n <= 0:
+            return LaurentSeries.zero(p)
+        a, b = self._nums[:n], num._nums[:n]
+        prod = _multiply(a, b, min(len(a) + len(b) - 1, n))
+        nums, d = _divide(prod, den._nums[:n], n)
+        db = den._den
+        if db != 1:
+            nums = [y * db for y in nums]
+        return _canonical(o - o2, nums, d * self._den * num._den, p)
 
     def __pow__(self, n):
         return _power(self, n, LaurentSeries.one())

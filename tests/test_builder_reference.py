@@ -1,9 +1,9 @@
 """The q-binomial builders against the direct algorithms they replaced.
 
 The product routes expand their products as polynomials in the brace,
-the sum routes, q_binomial_series and the Gamma kernel advance their
-binomials by short factors, and pochhammer_at_q divides by exact
-polynomials.  The references below are the direct algorithms: every
+the sum routes and q_binomial_series advance their binomials by short
+factors, the Gamma kernel applies the same factors as a Horner nest, and
+pochhammer_at_q divides by exact polynomials.  The references below are the direct algorithms: every
 brace factor a full-length series, every rational sum coefficient an
 exact rational function expanded by series_from_ratfun, every
 irrational sum coefficient a product of full-length [value + n] series

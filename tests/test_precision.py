@@ -4,6 +4,7 @@ precision, and closed-form working precisions expand only once: one read
 of an irrational value per binomial builder, one build per checker side,
 and checker pads that are the smallest that work."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ import qreals.qgamma as qgamma
 import qreals.qseries as qseries
 from qreals import (ConvergentSequence, InsufficientPrecisionError,
                     PeriodicContinuedFraction, verify_identity)
-from qreals.qbinomial import q_binomial_series
+from qreals.qbinomial import binomial_order, q_binomial_series
 from qreals.qcore import q_brace
 from qreals.qgamma import (gamma_power, gamma_reflection, pochhammer_at_q,
                            q_gamma)
@@ -227,11 +228,48 @@ def test_identity_checker_pads_are_the_smallest_that_work(monkeypatch,
                 verify_identity(name, binding, precision=P, xdeg=xdeg)
 
 
+def _kernel_terms(a, precision):
+    # the kernel's terms k (-1)^k q^(k(k+1)/2) binom(a, k)_q that show
+    # below q^precision, counted from the binomial orders
+    count = 0
+    while True:
+        o = binomial_order(a, count)
+        if o == math.inf or count * (count + 1) // 2 + o >= precision:
+            return count
+        count += 1
+
+
 @pytest.mark.parametrize('r', GAMMA_ARGS + [Fraction(7, 3), 3])
 def test_gamma_runs_its_binomials_once(monkeypatch, r):
-    calls = _counting(monkeypatch, qgamma, 'binomial_run')
+    # the kernel is built once, and its nest requests each binomial
+    # factor [a - k]_q / [k + 1]_q, k < K - 1, exactly once: no rebuild
+    # and no second pass at a higher precision
+    kernels = []
+    calls = []
+    inner, kernel = qgamma.shift_numerator, qgamma._kernel_series
+
+    def counting(value):
+        requested = []
+        calls.append(requested)
+        base, numerator = inner(value)
+
+        def counted(t):
+            requested.append(t)
+            return numerator(t)
+        return base, counted
+
+    def marked(a, precision):
+        start = len(calls)
+        out = kernel(a, precision)
+        kernels.append((a, precision, calls[start:]))
+        return out
+    monkeypatch.setattr(qgamma, 'shift_numerator', counting)
+    monkeypatch.setattr(qgamma, '_kernel_series', marked)
     q_gamma(r, P)
-    assert len(calls) == 1
+    [(a, precision, [requested])] = kernels
+    terms = _kernel_terms(a, precision)
+    assert terms >= 2
+    assert sorted(requested) == list(range(2 - terms, 1))
 
 
 @pytest.mark.parametrize('r', VALUES + GAMMA_ARGS + [0, 3])

@@ -70,6 +70,14 @@ def test_binomial_matches_ratfun_product(r, k):
     assert q_binomial(r, k) == _reference_binomial(r, k)
 
 
+@settings(max_examples=20, deadline=None)
+@given(rationals, st.integers(min_value=9, max_value=40))
+def test_product_tree_matches_running_product_at_larger_k(r, k):
+    # q_binomial multiplies its numerators in a balanced tree; the
+    # reference multiplies k reduced factors into one running product
+    assert q_binomial(r, k) == _reference_binomial(r, k)
+
+
 def test_binomial_matches_ratfun_product_at_integers():
     # integers 0 <= r < k give the exact zero; r = 0 and r = 1, and the
     # negative integers, whose factors all have negative orders
