@@ -28,7 +28,7 @@ from .qseries import (binomial_product, binomial_series,
                       negative_binomial_product, negative_binomial_series,
                       q_derivative, xseries)
 from .ratfun import QRationalFunction, ratfun
-from .series import LaurentSeries, series_from_ratfun
+from .series import LaurentSeries, _Shape, series_from_ratfun
 
 
 class IdentityCase(_Record):
@@ -292,78 +292,33 @@ def _qx(f):
 
 
 # Working precisions of the series checkers below.  Each builds its
-# series at work = precision + pad, and every x-coefficient it builds is
-# known to exactly work.  The products and quotients it forms then move
-# that precision by the orders of their operands, by series.py's rules,
-# and those orders are known in closed form: binomial_order plus the
-# weight for the two families, ord [alpha]_q, and ord {alpha}_q =
-# floor(alpha) (qseries._product_form).  So each checker pushes (order,
-# precision - work) pairs, one per x-coefficient, through the same steps
-# as its series, and its pad is the precision the compared series lose.
-# Exact series carry math.inf for precision - work, exact zeros for both.
+# series at work = precision + pad, and the side it compares loses
+# precision to the negative orders of its factors, known in closed form:
+# binomial_order, ord [alpha]_q, ord {alpha}_q = floor(alpha) and the
+# Gamma orders.  So a checker first runs that side on series._Shape
+# values of those orders known to _W, and its pad is what they lose.  _W
+# is large, not 0: an XSeries truncates every coefficient to its shared
+# precision, which at 0 would make the exact 1 of 1 - {alpha}x unknown.
 # The brace counts as known to work even at alpha = 0, where it is
 # exactly 1; the other route of each statement loses as much there.
 
+_W = 10 ** 6
+
+
+def _known(order):
+    # a series of this order known to _W; the exact zero at math.inf
+    return _Shape(order, _W if order < math.inf else math.inf)
+
+
 def _family(a, xdeg, sign):
     # the x-coefficients of the deformed (1+x)^a (sign > 0) or 1/(1-x)^a
-    return [_known(binomial_order(a, k) + _choose2(k) if sign > 0
-                   else binomial_order(a + k - 1, k)) for k in range(xdeg + 1)]
+    return xseries([_known(binomial_order(a, k) + _choose2(k) if sign > 0
+                           else binomial_order(a + k - 1, k))
+                    for k in range(xdeg + 1)], xdeg + 1)
 
 
-def _known(a):
-    # a series of order a known to work; exact (zero) when a is math.inf
-    return a, 0 if a < math.inf else a
-
-
-_ZERO = (math.inf, math.inf)
-
-
-def _times(x, y):
-    return x[0] + y[0], min(x[1] + y[0], y[1] + x[0])
-
-
-def _aligned(f):
-    # an XSeries keeps one precision: all but exact zeros drop to the least
-    low = min((e for _, e in f), default=math.inf)
-    return [(o, min(e, low) if o < math.inf else e) for o, e in f]
-
-
-def _sum(terms):
-    return min(o for o, _ in terms), min(e for _, e in terms)
-
-
-def _product(f, g):
-    return _aligned([_sum([_times(f[j], g[k - j]) for j in range(k + 1)])
-                     for k in range(len(f))])
-
-
-def _value_times(a, f):
-    # series_from_ratfun([a]_q, work) * f
-    return _product(f, [_known(order_at_zero(a))] + [_ZERO] * len(f))
-
-
-def _substituted(f, c):
-    # f.substitute_x(c): x^k picks up c^k, built one factor at a time
-    out, power = [], (0, math.inf)
-    for x in f:
-        out.append(_times(x, power))
-        power = _times(power, c)
-    return _aligned(out)
-
-
-def _quotient(f, c, orders):
-    # f / xseries([1, -c]), whose coefficients have the given orders:
-    # out_k = (f_k + c out_(k-1)) / lead, and dividing by the lead (order
-    # 0, known to c's precision) keeps min(p1, p2 + ord)
-    out = []
-    for k, x in enumerate(f):
-        acc = _sum([x, _times(c, out[-1])]) if out else x
-        out.append((orders[k], min(acc[1], c[1] + orders[k])))
-    return _aligned(out)
-
-
-def _pad(*shapes):
-    return max(0, -min((e for f in shapes for _, e in f), default=0))
+def _pad(*sides):
+    return max(0, _W - min(side.precision for side in sides))
 
 
 def _combine(f, factor, sign):
@@ -378,19 +333,12 @@ def _shift_one_check(series_form, sign):
     # the brace factor costs precision
     def check(binding, mode, precision, xdeg):
         a = binding['alpha']
-        f, brace = _family(a, xdeg, sign), (math.floor(a), 0)
-        if sign > 0:
-            # xseries([1, brace]): its exact 1 drops to the brace's precision
-            two = _product(f, [(0, brace[1]), brace] + [_ZERO] * xdeg)
-        else:
-            up = [o for o, _ in _family(a + 1, xdeg, sign)]
-            two = _quotient(f, brace, up)
-        work = precision + _pad(two)
+        work = precision + _pad(_combine(
+            _family(a, xdeg, sign), _known(math.floor(a)), sign))
         lhs = series_form(a + 1, xdeg, work)
         f = series_form(a, xdeg, work)
-        brace = q_brace_series(a, work)
         one = _combine(_qx(f), 1, sign)
-        two = _combine(f, brace, sign)
+        two = _combine(f, q_brace_series(a, work), sign)
         equal = (lhs.agrees_with(one, xdeg + 1, precision)
                  and lhs.agrees_with(two, xdeg + 1, precision))
         return equal, lhs, two
@@ -400,40 +348,44 @@ def _shift_one_check(series_form, sign):
 def _shift_n_check(series_form, sign):
     # the same two routes for an arbitrary integer shift, with the
     # one-step factor replaced by the n-step series at rescaled x
+    def sides(f, g, brace, n):
+        return (g * f.substitute_x(LaurentSeries.q_power(n)),
+                g.substitute_x(brace) * f)
+
     def check(binding, mode, precision, xdeg):
         a, n = binding['alpha'], binding['n']
-        f, g = _family(a, xdeg, sign), _family(n, xdeg, sign)
-        one = _product(g, _substituted(f, (n, math.inf)))
-        two = _product(_substituted(g, (math.floor(a), 0)), f)
-        work = precision + _pad(one, two)
+        work = precision + _pad(*sides(
+            _family(a, xdeg, sign), _family(n, xdeg, sign),
+            _known(math.floor(a)), n))
         lhs = series_form(a + n, xdeg, work)
-        f = series_form(a, xdeg, work)
-        g = series_form(n, xdeg, work)
-        brace = q_brace_series(a, work)
-        one = g * f.substitute_x(LaurentSeries.q_power(n))
-        two = g.substitute_x(brace) * f
+        one, two = sides(series_form(a, xdeg, work),
+                         series_form(n, xdeg, work),
+                         q_brace_series(a, work), n)
         equal = (lhs.agrees_with(one, xdeg + 1, precision)
                  and lhs.agrees_with(two, xdeg + 1, precision))
         return equal, lhs, two
     return check
 
 
+def _times_family(value, f, rescale, xdeg):
+    # value times f, at qx if rescale, through the x^(xdeg-1) compared:
+    # an x^xdeg would drop the whole product to its own precision
+    return value * (_qx(f) if rescale else f).truncate_x(xdeg)
+
+
 def _dq_check(series_form, sign):
     # the difference quotient against [alpha]_q times the neighbouring
     # series: at alpha - 1 and qx for the binomial family, at alpha + 1
-    # for the inverse one.  The neighbour stops at the x^(xdeg-1) compared:
-    # an x^xdeg would drop the whole product to its own precision (at
-    # xdeg 0, which compares nothing, it keeps the x^0 a series cannot lack)
+    # for the inverse one
     def check(binding, mode, precision, xdeg):
         a = binding['alpha']
-        g = _family(a - sign, xdeg - 1, sign)
-        if sign > 0:
-            g = _substituted(g, (1, math.inf))
-        work = precision + _pad(_value_times(a, g))
+        below = max(xdeg - 1, 0)
+        work = precision + _pad(_times_family(
+            _known(order_at_zero(a)), _family(a - sign, below, sign),
+            sign > 0, xdeg))
         lhs = q_derivative(series_form(a, xdeg, work))
-        g = series_form(a - sign, max(xdeg - 1, 0), work)
-        rhs = series_from_ratfun(q_rational(a), work) * (
-            _qx(g) if sign > 0 else g)
+        rhs = _times_family(series_from_ratfun(q_rational(a), work),
+                            series_form(a - sign, below, work), sign > 0, xdeg)
         return lhs.agrees_with(rhs, xdeg, precision), lhs, rhs
     return check
 
@@ -441,75 +393,64 @@ def _dq_check(series_form, sign):
 def _func_eq_check(series_form, sign):
     # q-differential equation relating the derivative to the series
     # itself (at plain x for the binomial family, at qx for the inverse);
-    # the derivative side is exact in its factors, and the series side
-    # multiplies only the x^0..x^(xdeg-1) it is compared through
+    # the derivative side is exact in its factors
     def check(binding, mode, precision, xdeg):
         a = binding['alpha']
-        f = _family(a, xdeg - 1, sign)
-        if sign < 0:
-            f = _substituted(f, (1, math.inf))
-        work = precision + _pad(_value_times(a, f))
+        work = precision + _pad(_times_family(
+            _known(order_at_zero(a)), _family(a, xdeg, sign), sign < 0, xdeg))
         f = series_form(a, xdeg, work)
-        scale = series_from_ratfun(q_rational(a), work)
         lhs = q_derivative(f) * xseries([1, sign])
-        rhs = scale * (f if sign > 0 else _qx(f)).truncate_x(xdeg)
+        rhs = _times_family(series_from_ratfun(q_rational(a), work), f,
+                            sign < 0, xdeg)
         return lhs.agrees_with(rhs, xdeg, precision), lhs, rhs
     return check
 
 
 def _gamma_shift_check(binding, mode, precision, xdeg):
     a = binding['alpha']
-    # a product of series known to work erodes exactly the negative
-    # order of either factor: [a]_q or gamma(a)
-    work = precision + max(0, -order_at_zero(a), -_gamma_order(a))
+    work = precision + _pad(_known(order_at_zero(a))
+                            * _known(_gamma_order(a)))
     lhs = q_gamma(a + 1, work)
     rhs = series_from_ratfun(q_rational(a), work) * q_gamma(a, work)
     return lhs.agrees_with(rhs, precision), lhs, rhs
+
+
+def _binom_times(binom, at_k, rest):
+    return binom * (at_k * rest)
 
 
 def _gamma_binom_check(binding, mode, precision, xdeg):
     a, k = binding['alpha'], binding['k']
     # stated multiplicatively both ways: Gamma(a+1) against
     # binom * Gamma(k+1) * Gamma(a-k+1), and the same with Pochhammer
-    # products at x = q.  Products of series known to work erode only
-    # the negative orders of their factors, which are known exactly, so
-    # one working precision suffices: with X = Gamma(k+1) Gamma(a-k+1) or
-    # the Pochhammer product at k times the one at a-k (the factors at k
-    # have order 0), binom * X is known to
-    # work + min(ord X, min(0, ord X) + ord binom).  The division form
-    # would pay twice the (large) order of the deep-negative-argument
-    # factor instead.
-    o = binomial_order(a, k)
-    losses = [-min(g, min(0, g) + o)
-              for g in (_gamma_order(a - k + 1), _pochhammer_order(a - k))]
-    work = precision + max(0, *losses)
+    # products at x = q.  The division form would pay twice the (large)
+    # order of the deep-negative-argument factor instead.
+    binom = _known(binomial_order(a, k))
+    work = precision + _pad(
+        _binom_times(binom, _known(_gamma_order(k + 1)),
+                     _known(_gamma_order(a - k + 1))),
+        _binom_times(binom, _known(_pochhammer_order(k)),
+                     _known(_pochhammer_order(a - k))))
     binom = series_from_ratfun(q_binomial(a, k), work)
     gamma_lhs = q_gamma(a + 1, work)
-    gamma_rhs = binom * (q_gamma(k + 1, work) * q_gamma(a - k + 1, work))
+    gamma_rhs = _binom_times(binom, q_gamma(k + 1, work),
+                             q_gamma(a - k + 1, work))
     poch_lhs = pochhammer_at_q(a, work)
-    poch_rhs = binom * (pochhammer_at_q(k, work)
-                        * pochhammer_at_q(a - k, work))
+    poch_rhs = _binom_times(binom, pochhammer_at_q(k, work),
+                            pochhammer_at_q(a - k, work))
     equal = (gamma_lhs.agrees_with(gamma_rhs, precision)
              and poch_lhs.agrees_with(poch_rhs, precision))
     return equal, gamma_lhs, gamma_rhs
 
 
-def _reflection_check(binding, mode, precision, xdeg):
-    a = binding['alpha']
-    try:
-        out = gamma_reflection(a, precision)
-    except IntegralityError as err:
-        return False, str(err), 'integer coefficients'
-    return True, out, 'integer coefficients'
-
-
-def _power_check(binding, mode, precision, xdeg):
-    a, b = binding['a'], binding['b']
-    try:
-        out = gamma_power(a, b, precision)
-    except IntegralityError as err:
-        return False, str(err), 'integer coefficients'
-    return True, out, 'integer coefficients'
+def _integral_check(build):
+    # build raises IntegralityError at a coefficient that is not an integer
+    def check(binding, mode, precision, xdeg):
+        try:
+            return True, build(binding, precision), 'integer coefficients'
+        except IntegralityError as err:
+            return False, str(err), 'integer coefficients'
+    return check
 
 
 def _brace_a(b):
@@ -647,10 +588,12 @@ def _entries():
                'coefficients', ('alpha',), lambda rng: {
                    'alpha': _noninteger(rng, max_num=36, max_den=10,
                                         bound=6)},
-               _reflection_check, **series_only),
+               _integral_check(lambda b, p: gamma_reflection(b['alpha'], p)),
+               **series_only),
         _Entry('POWER_INT', 'Gamma powers clearing the denominator have '
                'integer coefficients', ('a', 'b'), _s_power,
-               _power_check, **series_only),
+               _integral_check(lambda b, p: gamma_power(b['a'], b['b'], p)),
+               **series_only),
         _Entry('BRACE_PROP_A', 'brace from the deformed value',
                ('alpha',), _s_alpha, _ratfun_check(_brace_a)),
         _Entry('BRACE_PROP_B', 'deformed value from the brace',
@@ -677,9 +620,17 @@ CATALOG = _entries()
 IDENTITIES = tuple(CATALOG)
 
 
+def _check_settings(precision, xdeg):
+    if precision < 1:
+        raise ValueError('precision must be at least 1')
+    if xdeg < 0:
+        raise ValueError('xdeg must be at least 0')
+
+
 def verify_identity(identity, binding, mode=None,
                     precision=DEFAULT_PRECISION, xdeg=8):
     """Check one identity at one binding; returns an IdentityCase."""
+    _check_settings(precision, xdeg)
     try:
         entry = CATALOG[identity]
     except KeyError:
@@ -777,8 +728,7 @@ def run_suite(identities=None, trials=25, seed=7,
     """
     if trials < 1:
         raise ValueError('trials must be at least 1')
-    if xdeg < 0:
-        raise ValueError('xdeg must be at least 0')
+    _check_settings(precision, xdeg)
     if identities is None or identities == 'ALL':
         names = list(CATALOG)
     elif isinstance(identities, str):

@@ -51,20 +51,19 @@ from .polynomial import IntPolynomial
 from .qbinomial import binomial_run, q_binomial
 from .qcore import DEFAULT_PRECISION, _floor_and_order, q_brace_series
 from .ratfun import QRationalFunction
-from .series import LaurentSeries, series
+from .series import LaurentSeries, _coerce, _Shape, series
 
 
 def _coerce_coeff(c):
-    if isinstance(c, LaurentSeries):
-        return c
-    if isinstance(c, (int, Fraction, IntPolynomial)):
-        return LaurentSeries.from_polynomial(c) if isinstance(
-            c, IntPolynomial) else LaurentSeries.constant(c)
-    raise TypeError(f'cannot use {type(c).__name__} as a coefficient')
+    s = c if isinstance(c, _Shape) else _coerce(c)
+    if s is NotImplemented:
+        raise TypeError(f'cannot use {type(c).__name__} as a coefficient')
+    return s
 
 
 class XSeries:
-    """Truncated power series in x with Laurent series coefficients."""
+    """Truncated power series in x with Laurent series coefficients, or
+    with series._Shape ones, on which it predicts what series would keep."""
 
     __slots__ = ('_coeffs', '_xlength', '_precision')
 
@@ -359,9 +358,10 @@ def _product_form(value, xdeg, precision, sign, braces_on_top):
         raise DomainError(f'x-degree must be nonnegative, got {xdeg}')
     # d = -ord {a}_q sizes the brace's working precision, since its m-th
     # power loses (m - 1) d; ord {a}_q = floor(a), as {a + n}_q =
-    # q^n {a}_q and {f}_q = 1 + O(q) for 0 <= f < 1
+    # q^n {a}_q and {f}_q = 1 + O(q) for 0 <= f < 1.  Known to less than
+    # q^0, an unknown brace would lose to each power what it lacks
     d = max(0, -_floor_and_order(value)[0])
-    brace = q_brace_series(value, precision + max(0, xdeg - 1) * d)
+    brace = q_brace_series(value, max(precision + max(0, xdeg - 1) * d, 0))
     out = _expand_product(brace, xdeg, precision, sign, braces_on_top)
     if out.precision < precision:
         raise InsufficientPrecisionError(
@@ -380,7 +380,8 @@ def _expand_product(brace, xdeg, work, sign, braces_on_top):
     # they can still carry a coefficient up one power of y for q^j, less
     # than the d that power costs, hence the extra (xdeg - k)(d - j).
     d = max(0, -brace.order)
-    top = work + xdeg * d
+    # at least c[0][0]'s 1; a coefficient needed to cap <= 0 is unknown
+    top = max(work + xdeg * d, 1)
     c = [[[0] * top for m in range(k + 1)] for k in range(xdeg + 1)]
     c[0][0][0] = 1
     grow, shrink = (operator.add, operator.sub) if sign > 0 \
@@ -406,7 +407,7 @@ def _expand_product(brace, xdeg, work, sign, braces_on_top):
         acc = LaurentSeries.zero()
         for m in range(k + 1):
             cap = work + m * d
-            acc = acc + series(0, c[k][m][:cap], cap) * powers[m]
+            acc = acc + series(0, c[k][m][:max(cap, 0)], cap) * powers[m]
         coeffs.append(acc)
     return _normalize(tuple(coeffs), xdeg + 1)
 

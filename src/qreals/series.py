@@ -34,13 +34,14 @@ Arithmetic propagates precision pessimistically:
           min(p_self + ord num, p_num + ord self) - ord den
 
 where a series with no known coefficient contributes its precision in
-place of its order.  Division of two exact series is refused unless the
-divisor is a monomial, since the quotient would in general need
-infinitely many terms; truncate() an operand first.  times_ratio is the
-composition of mul and div, and refuses what div refuses; it runs one
-multiply and one division on the raw product and forms one canonical
-series at the end, and the builders apply their exact shift-law factors
-with it.
+place of its order; _mul_precision and _div_precision state the rules
+once.  A divisor with no known coefficient is refused, and so is the
+division of two exact series unless the divisor is a monomial, since the
+quotient would in general need infinitely many terms; truncate() an
+operand first.  times_ratio is the composition of mul and div, and
+refuses what div refuses; it runs one multiply and one division on the
+raw product and forms one canonical series at the end, and the builders
+apply their exact shift-law factors with it.
 
 Multiplication convolves the numerators, skipping zero coefficients, over
 the product of the denominators.  Division runs the quotient recurrence
@@ -57,8 +58,11 @@ triggers.
 
 There is no retry loop.  A builder that loses precision to negative
 orders sizes its working precision up front from the closed-form orders
-of what it multiplies and divides, through the rules above, and raises
-InsufficientPrecisionError if the result still falls short.
+of what it multiplies and divides, and raises InsufficientPrecisionError
+if the result still falls short.  _Shape, a series known only by its
+order and precision, obeys the rules above through the same functions,
+so an identity checker runs the side it compares on shapes of those
+orders first, and the precision they lose is its pad.
 """
 
 import math
@@ -214,8 +218,7 @@ class LaurentSeries:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p = min(self._precision + other._eff_order(),
-                other._precision + self._eff_order())
+        p = _mul_precision(self, other)
         if not self._nums or not other._nums:
             return LaurentSeries.zero(p)
         o = self._order + other._order
@@ -231,27 +234,11 @@ class LaurentSeries:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other._nums:
-            if other.is_exact:
-                raise ZeroDivisionError('division by exact zero series')
-            raise InsufficientPrecisionError(
-                f'divisor has no known nonzero coefficient below '
-                f'q^{other._precision}')
-        o2 = other._order
-        p = min(self._precision - o2,
-                other._precision - 2 * o2 + self._eff_order())
+        p = _div_precision(self, other)
         if not self._nums:
             return LaurentSeries.zero(p)
-        o = self._order - o2
-        if p == math.inf:
-            if len(other._nums) > 1:
-                raise InsufficientPrecisionError(
-                    'division of exact series would need infinitely many '
-                    'terms; truncate() an operand to a finite precision '
-                    'first')
-            n = len(self._nums)
-        else:
-            n = p - o
+        o = self._order - other._order
+        n = _quotient_terms(p, o, other, len(self._nums))
         if n <= 0:
             return LaurentSeries.zero(p)
         # (a/da) / (b/db) = (a/b) * db / da
@@ -275,25 +262,14 @@ class LaurentSeries:
         the two rules (module docstring), and an exact self and num with
         a divisor that is not a monomial raise as __truediv__ does.
         """
-        if not den._nums:
-            raise ZeroDivisionError('division by exact zero series')
         if den._precision != math.inf:
             raise ValueError('times_ratio needs an exact divisor')
-        o2 = den._order
-        p = min(self._precision + num._eff_order(),
-                num._precision + self._eff_order()) - o2
+        product = _Shape(self._order + num._order, _mul_precision(self, num))
+        p = _div_precision(product, den)
         if not self._nums or not num._nums:
             return LaurentSeries.zero(p)
-        o = self._order + num._order
-        if p == math.inf:
-            if len(den._nums) > 1:
-                raise InsufficientPrecisionError(
-                    'division of exact series would need infinitely many '
-                    'terms; truncate() an operand to a finite precision '
-                    'first')
-            n = len(self._nums) + len(num._nums) - 1
-        else:
-            n = p - o + o2
+        o = product._order - den._order
+        n = _quotient_terms(p, o, den, len(self._nums) + len(num._nums) - 1)
         if n <= 0:
             return LaurentSeries.zero(p)
         a, b = self._nums[:n], num._nums[:n]
@@ -302,7 +278,7 @@ class LaurentSeries:
         db = den._den
         if db != 1:
             nums = [y * db for y in nums]
-        return _canonical(o - o2, nums, d * self._den * num._den, p)
+        return _canonical(o, nums, d * self._den * num._den, p)
 
     def __pow__(self, n):
         return _power(self, n, LaurentSeries.one())
@@ -358,6 +334,77 @@ class LaurentSeries:
     def __repr__(self):
         return (f'LaurentSeries(order={self._order}, coeffs={self.coeffs},'
                 f' precision={self._precision})')
+
+
+def _mul_precision(x, y):
+    return min(x._precision + y._eff_order(), y._precision + x._eff_order())
+
+
+def _div_precision(x, y):
+    o = y._eff_order()
+    if o == y._precision:   # y has no known coefficient
+        if o == math.inf:
+            raise ZeroDivisionError('division by exact zero series')
+        raise InsufficientPrecisionError(
+            f'divisor has no known nonzero coefficient below q^{o}')
+    return min(x._precision - o, y._precision - 2 * o + x._eff_order())
+
+
+def _quotient_terms(p, o, divisor, exact_terms):
+    # an exact quotient keeps exact_terms, which needs a monomial divisor
+    if p != math.inf:
+        return p - o
+    if len(divisor._nums) > 1:
+        raise InsufficientPrecisionError(
+            'division of exact series would need infinitely many terms; '
+            'truncate() an operand to a finite precision first')
+    return exact_terms
+
+
+def _shape_rule(rule):
+    # a _Shape operator; an int or LaurentSeries operand acts as its shape
+    def op(x, y):
+        if not isinstance(y, _Shape):
+            y = _coerce(y)
+            if y is NotImplemented:
+                return y
+            y = _Shape(y._order, y._precision)
+        return rule(x, y)
+    return op
+
+
+class _Shape:
+    """A series known only by its order and precision: it follows the
+    rules of LaurentSeries and assumes that no sum cancels."""
+
+    __slots__ = ('_order', '_precision')
+    order, precision = LaurentSeries.order, LaurentSeries.precision
+
+    def __init__(self, order, precision):
+        self._order = order if order < precision else math.inf
+        self._precision = precision
+
+    @property
+    def is_zero(self):
+        return self._order == math.inf
+
+    def _eff_order(self):
+        return min(self._order, self._precision)
+
+    def __neg__(self):
+        return self
+
+    def truncate(self, precision):
+        return _Shape(self._order, min(self._precision, precision))
+
+    __add__ = __radd__ = __sub__ = __rsub__ = _shape_rule(
+        lambda x, y: _Shape(min(x._order, y._order),
+                            min(x._precision, y._precision)))
+    __mul__ = __rmul__ = _shape_rule(
+        lambda x, y: _Shape(x._order + y._order, _mul_precision(x, y)))
+    __truediv__ = _shape_rule(
+        lambda x, y: _Shape(x._order - y._order, _div_precision(x, y)))
+    __rtruediv__ = _shape_rule(lambda x, y: y / x)
 
 
 def _coerce(x):

@@ -99,6 +99,26 @@ def test_unknown_identity_rejected():
         run_suite(trials=1, xdeg=-1)
 
 
+# a series entry and an exact-mode entry
+SETTINGS_PANEL = [('SHIFT_b', {'alpha': Fraction(1, 2)}),
+                  ('PASCAL_A', {'alpha': Fraction(1, 2), 'k': 2})]
+
+
+@pytest.mark.parametrize('precision', [0, -50])
+def test_precision_below_one_rejected(precision):
+    with pytest.raises(ValueError, match='precision'):
+        run_suite(trials=1, precision=precision)
+    for name, binding in SETTINGS_PANEL:
+        with pytest.raises(ValueError, match='precision'):
+            verify_identity(name, binding, precision=precision)
+
+
+def test_negative_xdeg_rejected_by_verify_identity():
+    for name, binding in SETTINGS_PANEL:
+        with pytest.raises(ValueError, match='xdeg'):
+            verify_identity(name, binding, xdeg=-1)
+
+
 def test_unsupported_mode_rejected():
     with pytest.raises(ValueError):
         verify_identity('PRODUCT_B', {'alpha': Fraction(1, 2)}, 'exact')

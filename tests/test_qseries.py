@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qreals import (DomainError, InsufficientPrecisionError, IntPolynomial,
                     LaurentSeries, PeriodicContinuedFraction,
@@ -13,6 +14,19 @@ from qreals.qseries import (XSeries, binomial_coefficients, binomial_product,
                             negative_binomial_coefficients,
                             negative_binomial_product,
                             negative_binomial_series, q_derivative, xseries)
+from qreals.series import _Shape, series
+
+
+# exact or truncated, zero ones included, at negative orders
+laurent = st.builds(
+    lambda o, cs, extra, exact: series(
+        o, cs, math.inf if exact else o + len(cs) + extra),
+    st.integers(min_value=-5, max_value=5),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=6),
+    st.integers(min_value=0, max_value=4), st.booleans())
+# exact in x, or known through x^(len - 1)
+xs = st.builds(lambda cs, exact: xseries(cs, None if exact else len(cs)),
+               st.lists(laurent, min_size=1, max_size=4), st.booleans())
 
 
 def P(*coeffs):
@@ -225,6 +239,55 @@ def test_generalized_pochhammer_is_binomial_at_negated_x():
     gp = generalized_pochhammer(value, xdeg=5, precision=18)
     alt = binomial_series(value, xdeg=5, precision=18).substitute_x(-1)
     assert gp.agrees_with(alt, 6, 18)
+
+
+# each product route with its sum route; (x; q)_a is the deformed
+# (1+x)^a at -x
+ROUTES = [
+    (binomial_product, binomial_series),
+    (negative_binomial_product, negative_binomial_series),
+    (generalized_pochhammer,
+     lambda value, xdeg, p: binomial_series(value, xdeg, p).substitute_x(-1)),
+]
+
+
+@pytest.mark.parametrize('precision', range(-3, 2))
+# brace orders 2 down to -3
+@pytest.mark.parametrize('value', [
+    Fraction(7, 3), Fraction(1, 2), Fraction(-1, 10), Fraction(-4, 3),
+    Fraction(-11, 10), Fraction(-21, 10)], ids=str)
+@pytest.mark.parametrize('product, total', ROUTES,
+                         ids=['B', 'b', 'pochhammer'])
+def test_product_routes_agree_with_sums_at_small_precision(
+        product, total, value, precision):
+    xdeg = 3
+    p = product(value, xdeg, precision)
+    s = total(value, xdeg, precision)
+    assert p.precision == s.precision == precision
+    assert p.agrees_with(s, xdeg + 1)
+
+
+def _shapes(f):
+    return xseries([_Shape(c.order, c.precision) for c in f.coefficients()],
+                   None if f.xlength == math.inf else f.xlength)
+
+
+@given(xs, xs, laurent)
+def test_shapes_never_promise_more_than_the_series_keep(f, g, c):
+    sc = _Shape(c.order, c.precision)
+    for op, shape_op in (
+            (lambda: f * g, lambda: _shapes(f) * _shapes(g)),
+            (lambda: f / g, lambda: _shapes(f) / _shapes(g)),
+            (lambda: c * f, lambda: sc * _shapes(f)),
+            (lambda: f.substitute_x(c), lambda: _shapes(f).substitute_x(sc))):
+        try:
+            real = op()
+        except (InsufficientPrecisionError, ZeroDivisionError):
+            continue
+        shape = shape_op()
+        assert shape.precision <= real.precision
+        for s, r in zip(shape.coefficients(), real.coefficients()):
+            assert s.precision <= r.precision
 
 
 @pytest.mark.parametrize('xdeg', [-1, -5])

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from qreals.errors import InsufficientPrecisionError
 from qreals.polynomial import IntPolynomial
 from qreals.ratfun import ratfun
-from qreals.series import LaurentSeries, series, series_from_ratfun
+from qreals.series import LaurentSeries, _Shape, series, series_from_ratfun
 
 
 def P(*coeffs):
@@ -524,6 +524,42 @@ def test_times_ratio_refuses_bad_divisors():
         s.times_ratio(s, LaurentSeries.zero())
     with pytest.raises(ValueError):
         s.times_ratio(s, series(0, [1, 1], 3))
+
+
+def _assert_shape(shape, real, same_order=True):
+    # the shape has exactly the series' precision; its order is the
+    # series' order, or below it where a sum may have cancelled
+    assert shape.precision == real.precision
+    assert shape.order <= real.order
+    if same_order:
+        assert shape.order == real.order
+
+
+@given(any_series, any_series, divisors,
+       st.integers(min_value=-6, max_value=12))
+def test_shape_follows_the_series_rules(a, b, d, cut):
+    sa, sb, sd = (_Shape(s.order, s.precision) for s in (a, b, d))
+    _assert_shape(sa * sb, a * b)
+    _assert_shape(sa * b, a * b)
+    _assert_shape(b * sa, b * a)
+    _assert_shape(sa.truncate(cut), a.truncate(cut))
+    for shape, real in ((sa + sb, a + b), (sa - b, a - b), (3 - sa, 3 - a)):
+        _assert_shape(shape, real, same_order=False)
+    for x, y, sx, sy in ((a, d, sa, sd), (d, a, sd, sa), (b, a, sb, sa)):
+        if y.is_zero or (x and x.is_exact and y.is_exact
+                         and len(y.coeffs) > 1):
+            continue
+        _assert_shape(sx / sy, x / y)
+        _assert_shape(x / sy, x / y)
+        _assert_shape(sx / y, x / y)
+
+
+def test_shape_refuses_zero_divisors_as_series_do():
+    assert _Shape(7, 5).is_zero and _Shape(7, 5).order == math.inf
+    with pytest.raises(InsufficientPrecisionError):
+        _Shape(0, 5) / _Shape(7, 5)
+    with pytest.raises(ZeroDivisionError):
+        _Shape(0, 5) / _Shape(math.inf, math.inf)
 
 
 @given(mixed_coeffs, st.integers(min_value=-4, max_value=4))
