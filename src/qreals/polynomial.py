@@ -256,15 +256,22 @@ _ONE = _from_ints((1,))
 
 
 def _power(x, n, one):
-    """x ** n by square-and-multiply, for an int n >= 0."""
+    """x ** n by left-to-right square-and-multiply, for an int n >= 0.
+
+    Starts from x and reads the bits of n below the leading one: a
+    squaring for each, then a product by x for each set bit.  That is
+    bit_length(n) - 1 squarings and popcount(n) - 1 products, none for
+    n <= 1 (x ** 0 is one and x ** 1 is x itself).
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f'power must be a nonnegative int, got {n!r}')
-    result = one
-    while n:
-        if n & 1:
+    if not n:
+        return one
+    result = x
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == '1':
             result = result * x
-        x = x * x
-        n >>= 1
     return result
 
 

@@ -33,6 +33,14 @@ shares one with D, and the only cancellation left is by the cyclotomic
 Phi_d, which are divided out of the short h_j.  No gcd is taken, and
 the factors are never reduced rational functions of their own.
 
+For each d >= 2 the h_j that Phi_d divides form one residue class of j
+mod d, or there are none.  Proof: (1 - q) h_j = C + q^(j - lo) D, so
+Phi_d | h_j exactly when C(z) + z^(j - lo) D(z) = 0 at a primitive d-th
+root of unity z.  Then D(z) != 0, or C(z) = 0 too and Phi_d would
+divide the coprime C and D, so z^(j - lo) = -C(z)/D(z), and since z
+has order d this fixes j mod d.  So testing h_0 ... h_(d-1) finds the
+class, and floor(k/d) of its members each give up one Phi_d.
+
 As series, the binomials of any upper index come from one run of short
 factors.  One step of binom(x, k) -> binom(x, k+1) multiplies by the
 numerator at t = -k and divides once by D(1 - q^(k+1)), in one
@@ -119,42 +127,55 @@ def q_binomial(r, k):
     """binom(r, k)_q for rational r and integer k, exact.
 
     The polynomials h_j of the module docstring, from _shift_law, over
-    D^k [k]_q!.  Each Phi_d of [k]_q! is divided out of the h_j it
-    divides, at most floor(k/d) times in all; what is left of [k]_q!
-    joins D^k, and numerator and denominator are then coprime, so no
-    gcd is taken.  A vanishing h_j (an integer 0 <= r < k) makes the
-    binomial the exact zero.
+    D^k [k]_q!.  For each 2 <= d <= k, the h_j that Phi_d divides are
+    one residue class of j mod d, or none: Phi_d | h_j exactly when
+    C(z) + z^(j - lo) D(z) = 0 at a primitive d-th root of unity z,
+    where D(z) != 0 (else C(z) = 0 and Phi_d divides the coprime C and
+    D), and z has order d, so z^(j - lo) = -C(z)/D(z) fixes j mod d.
+    The first of h_0 ... h_(d-1) that Phi_d divides names the class,
+    which has at least floor(k/d) members below k, and divide_exact
+    takes Phi_d once out of each of the first floor(k/d); with no
+    class, Phi_d^floor(k/d) joins D^k, and the bottom is multiplied as
+    a balanced product tree.  Numerator and denominator are then
+    coprime, so no gcd is taken.  A vanishing h_j (an integer
+    0 <= r < k) makes the binomial the exact zero.
     """
     if k < 0:
         return QRationalFunction.zero()
     if k == 0:
         return QRationalFunction.one()
-    lo, den, c = _shift_law(r)
-    factors = []
-    for j in range(k):
-        # h_j = (C + q^(j - lo) D) / (1 - q), an exact quotient, so
-        # the running sum of the coefficients
-        g = c + den.shift(j - lo)
-        p = IntPolynomial(itertools.accumulate(g.coeffs))
-        if p.is_zero:
-            return QRationalFunction.zero()
-        factors.append(p)
-    bottom = den ** k
+    lo, den, factors = _shift_factors(r, k)
+    if not all(factors):
+        return QRationalFunction.zero()
+    bottom = [den ** k]
     for d in range(2, k + 1):
-        uses = k // d
-        for i, p in enumerate(factors):
-            while uses and _has_cyclotomic_factor(p, d):
-                p = p.divide_exact(_cyclotomic(d))
-                uses -= 1
-            factors[i] = p
-        if uses:
-            bottom = bottom * _cyclotomic(d) ** uses
+        phi, uses = _cyclotomic(d), k // d
+        first = next((j for j in range(d)
+                      if _has_cyclotomic_factor(factors[j], d)), None)
+        if first is None:
+            bottom.append(phi ** uses)
+        else:
+            for j in range(first, first + uses * d, d):
+                factors[j] = factors[j].divide_exact(phi)
+    return ratfun(k * lo - k * (k - 1) // 2, _product_tree(factors),
+                  _product_tree(bottom), reduced=True)
+
+
+def _shift_factors(r, k):
+    """(lo, D, [h_0, ..., h_(k-1)]) for rational r (module docstring)."""
+    lo, den, c = _shift_law(r)
+    # h_j = (C + q^(j - lo) D) / (1 - q), an exact quotient, so the
+    # running sum of the coefficients
+    return lo, den, [IntPolynomial(itertools.accumulate(
+        (c + den.shift(j - lo)).coeffs)) for j in range(k)]
+
+
+def _product_tree(factors):
     # a balanced product tree: each product pairs operands of like size
     while len(factors) > 1:
         factors = [factors[i] * factors[i + 1] if i + 1 < len(factors)
                    else factors[i] for i in range(0, len(factors), 2)]
-    return ratfun(k * lo - k * (k - 1) // 2, factors[0], bottom,
-                  reduced=True)
+    return factors[0]
 
 
 def shift_numerator(value, precision=None):

@@ -105,6 +105,9 @@ class QRationalFunction:
         n1 = self._num.shift(self._e - e)
         n2 = other._num.shift(other._e - e)
         d1, d2 = self._den, other._den
+        if d1 == d2:
+            # over a shared denominator only the sum's own gcd is left
+            return ratfun(e, n1 + n2, d1)
         g, d1_red, d2_red = _gcd_cofactors(d1, d2)
         if g == _ONE:
             return ratfun(e, n1 * d2 + n2 * d1, d1 * d2, reduced=True)
@@ -133,6 +136,12 @@ class QRationalFunction:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return QRationalFunction.zero()
+        # both operands are canonical, so a product with q^e only adds e
+        if other._num == _ONE and other._den == _ONE:
+            return QRationalFunction(self._e + other._e, self._num, self._den)
+        if self._num == _ONE and self._den == _ONE:
+            return QRationalFunction(self._e + other._e, other._num,
+                                     other._den)
         _, n1, d2 = _gcd_cofactors(self._num, other._den)
         _, n2, d1 = _gcd_cofactors(other._num, self._den)
         return ratfun(self._e + other._e, n1 * n2, d1 * d2, reduced=True)

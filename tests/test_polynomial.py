@@ -1,5 +1,7 @@
 import contextlib
+import functools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -11,6 +13,8 @@ from hypothesis import given, strategies as st
 
 from qreals import polynomial
 from qreals.polynomial import IntPolynomial, format_terms, poly_gcd
+from qreals.ratfun import ratfun
+from qreals.series import LaurentSeries, series
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -385,6 +389,62 @@ def test_power_of_one_minus_q_is_binomial():
         assert (P(1, -1) ** n).coeffs == tuple(
             (-1) ** k * math.comb(n, k) for k in range(n + 1))
     assert P(2, 1) ** 0 == P(1)
+
+
+class _Counted:
+    """An exponent that counts the products that built it."""
+
+    def __init__(self, n, products):
+        self.n, self.products = n, products
+
+    def __mul__(self, other):
+        self.products.append(1)
+        return _Counted(self.n + other.n, self.products)
+
+
+@pytest.mark.parametrize('n', range(41))
+def test_power_takes_bit_length_plus_popcount_minus_two_products(n):
+    products = []
+    x = _Counted(1, products)
+    one = _Counted(0, products)
+    result = polynomial._power(x, n, one)
+    assert result.n == n
+    assert len(products) == (0 if n <= 1 else
+                             n.bit_length() - 1 + bin(n).count('1') - 1)
+    assert polynomial._power(x, 1, one) is x
+    assert polynomial._power(x, 0, one) is one
+
+
+def _repeated(x, n, one):
+    return functools.reduce(operator.mul, [x] * n) if n else one
+
+
+@given(small_polys, st.integers(min_value=0, max_value=12))
+def test_polynomial_power_is_the_repeated_product(p, n):
+    assert (p ** n).coeffs == _repeated(p, n, P(1)).coeffs
+    assert p ** 1 is p
+
+
+@given(nonzero_polys, nonzero_polys,
+       st.integers(min_value=-4, max_value=4),
+       st.integers(min_value=-7, max_value=7))
+def test_rational_function_power_is_the_repeated_product(num, den, e, n):
+    x = ratfun(e, num, den)
+    base = x if n >= 0 else x.reciprocal()
+    assert (x ** n).to_json() == _repeated(
+        base, abs(n), ratfun(0, 1, 1)).to_json()
+
+
+@given(st.integers(min_value=-3, max_value=3),
+       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                max_size=5),
+       st.one_of(st.just(math.inf), st.integers(min_value=5, max_value=9)),
+       st.integers(min_value=0, max_value=9))
+def test_series_power_is_the_repeated_product(order, coeffs, width, n):
+    # exact, truncated and zero series; the precision must match too
+    x = series(order, coeffs, order + width)
+    assert (x ** n).to_json() == _repeated(
+        x, n, LaurentSeries.one()).to_json()
 
 
 def test_public_constructor_checks_coefficient_types():

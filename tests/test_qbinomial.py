@@ -1,5 +1,8 @@
+import functools
 import importlib
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -11,7 +14,10 @@ from qreals import (ConvergentSequence, DomainError, IntPolynomial,
                     binomial_order, q_binomial, q_binomial_series, q_brace,
                     q_factorial, q_integer, q_pochhammer, q_rational,
                     q_real_series, ratfun, series_from_ratfun)
-from qreals.qcore import _factor_order, _floor_and_order, _q_rational_cached
+from qreals.qbinomial import (_cyclotomic, _has_cyclotomic_factor,
+                              _shift_factors)
+from qreals.qcore import (_factor_order, _floor_and_order,
+                          _q_rational_cached, _shift_law)
 
 # the package exports the function ratfun under the module's name
 ratfun_module = importlib.import_module('qreals.ratfun')
@@ -100,6 +106,73 @@ def test_binomial_takes_no_gcd(monkeypatch):
         for k in range(9):
             q_binomial(r, k)
     assert calls == []
+
+
+def _greedy_binomial(r, k):
+    # q_binomial before the class argument: each Phi_d is tried on every
+    # numerator in turn, and retried on the same one while it divides,
+    # until [k]_q! has given up floor(k/d) of it
+    if k < 0:
+        return QRationalFunction.zero()
+    if k == 0:
+        return QRationalFunction.one()
+    lo, den, c = _shift_law(r)
+    factors = []
+    for j in range(k):
+        g = c + den.shift(j - lo)
+        p = IntPolynomial(itertools.accumulate(g.coeffs))
+        if p.is_zero:
+            return QRationalFunction.zero()
+        factors.append(p)
+    bottom = den ** k
+    for d in range(2, k + 1):
+        uses = k // d
+        for i, p in enumerate(factors):
+            while uses and _has_cyclotomic_factor(p, d):
+                p = p.divide_exact(_cyclotomic(d))
+                uses -= 1
+            factors[i] = p
+        if uses:
+            bottom = bottom * _cyclotomic(d) ** uses
+    return ratfun(k * lo - k * (k - 1) // 2,
+                  functools.reduce(operator.mul, factors), bottom,
+                  reduced=True)
+
+
+def _divides(divisor, p):
+    try:
+        p.divide_exact(divisor)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-60, max_value=60),
+       st.integers(min_value=1, max_value=15),
+       st.integers(min_value=2, max_value=16))
+def test_cyclotomic_factors_of_the_numerators_form_one_class(p, s, d):
+    # the j with Phi_d | h_j are none or one residue class mod d, checked
+    # by exact division over three periods (a vanishing h_j, at an
+    # integer 0 <= r < 3d, is divisible and must be in the class)
+    _, _, factors = _shift_factors(Fraction(p, s), 3 * d)
+    hits = [j for j, h in enumerate(factors) if _divides(_cyclotomic(d), h)]
+    assert hits == [] or hits == list(range(hits[0] % d, 3 * d, d))
+    assert hits == [j for j, h in enumerate(factors)
+                    if _has_cyclotomic_factor(h, d)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=-40, max_value=40, max_denominator=40),
+       st.integers(min_value=-1, max_value=14))
+def test_class_cancellation_matches_greedy_trial_division(r, k):
+    assert q_binomial(r, k).to_json() == _greedy_binomial(r, k).to_json()
+
+
+@pytest.mark.parametrize('r', [Fraction(5, 3), Fraction(-7, 4)])
+@pytest.mark.parametrize('k', [41, 60])
+def test_class_cancellation_matches_greedy_trial_division_at_large_k(r, k):
+    assert q_binomial(r, k).to_json() == _greedy_binomial(r, k).to_json()
 
 
 def test_gaussian_symmetry():

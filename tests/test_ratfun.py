@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,9 @@ from hypothesis import given, strategies as st
 
 from qreals.polynomial import IntPolynomial
 from qreals.ratfun import QRationalFunction, ratfun
+
+# the package exports the function ratfun under the module's name
+ratfun_module = importlib.import_module('qreals.ratfun')
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -211,33 +215,119 @@ def test_constants_and_polynomials_collapse_in_sets():
     assert RF(0, (1, 1), (1, -1)) != P(1, 1)
 
 
-def test_identity_exact_panel_takes_at_most_12515_gcds():
+def _fields(x):
+    return x.e, x.num, x.den
+
+
+def _general_product(a, b):
+    # both operands through one full normalization, gcd included
+    return ratfun(a.e + b.e, a.num * b.num, a.den * b.den)
+
+
+def _general_sum(a, b):
+    e = min(a.e, b.e)
+    return ratfun(e, a.num.shift(a.e - e) * b.den
+                  + b.num.shift(b.e - e) * a.den, a.den * b.den)
+
+
+def _counting_gcds(monkeypatch):
+    calls = []
+    inner = ratfun_module._gcd_cofactors
+
+    def counted(a, b):
+        calls.append(1)
+        return inner(a, b)
+    monkeypatch.setattr(ratfun_module, '_gcd_cofactors', counted)
+    return calls
+
+
+@given(rationals, st.integers(min_value=-6, max_value=6))
+def test_products_with_a_q_power_match_the_general_path(a, e):
+    m = QRationalFunction.q_power(e)
+    for x, y in ((a, m), (m, a), (m, m)):
+        assert _fields(x * y) == _fields(_general_product(x, y))
+    assert (QRationalFunction.zero() * m).is_zero
+    assert (m * QRationalFunction.zero()).is_zero
+
+
+def test_products_with_a_q_power_take_no_gcd(monkeypatch):
+    a = RF(-2, (1, 3), (2, 0, 5))
+    calls = _counting_gcds(monkeypatch)
+    for e in (-3, 0, 4):
+        m = QRationalFunction.q_power(e)
+        assert _fields(a * m) == (e - 2, P(1, 3), P(2, 0, 5))
+        assert _fields(m * a) == (e - 2, P(1, 3), P(2, 0, 5))
+    assert calls == []
+
+
+@given(rationals, small_polys, st.integers(min_value=0, max_value=3),
+       st.integers(min_value=-2, max_value=2))
+def test_sums_over_a_shared_denominator(a, t, s, shift):
+    # b = q^e (q^s t den - num) / den keeps a's denominator, and a + b
+    # = q^(e + s) t cancels down to a polynomial: to zero when t = 0,
+    # with a higher valuation when s > 0
+    b = ratfun(a.e, t.shift(s) * a.den - a.num, a.den)
+    if b.is_zero or b.den != a.den:
+        return
+    assert _fields(a + b) == _fields(_general_sum(a, b))
+    assert _fields(a + b) == _fields(ratfun(a.e + s, t, 1))
+    # and sums that need not cancel, equal exponents or not
+    c = ratfun(a.e + shift, t + 1, a.den)
+    if not c.is_zero and c.den == a.den:
+        assert _fields(a + c) == _fields(_general_sum(a, c))
+        assert _fields(c + a) == _fields(_general_sum(a, c))
+
+
+def test_a_sum_over_a_shared_denominator_takes_one_gcd(monkeypatch):
+    a = RF(1, (1, 2), (1, 0, 1))
+    b = RF(1, (-1, -2), (1, 0, 1))
+    c = RF(0, (3,), (1, 0, 1))
+    d = RF(2, (-2, 1), (1, 0, 1))
+    calls = _counting_gcds(monkeypatch)
+    assert (a + b).is_zero
+    assert _fields(a + c) == (0, P(3, 1, 2), P(1, 0, 1))
+    # (q + q^3) / (1 + q^2) = q
+    assert _fields(a + d) == (1, P(1), P(1))
+    assert _fields(d + d) == (2, P(-4, 2), P(1, 0, 1))
+    # one gcd for each sum but the one that cancels to zero
+    assert len(calls) == 3
+
+
+def test_identity_exact_panel_takes_at_most_7464_gcds_and_18610_products():
     # the traced identity-exact benchmark panel: the first 1 000 cases of
     # seed 7 in a fresh interpreter.  The tracer counts calls to the
     # public poly_gcd, while the rational functions reach the gcd through
-    # _gcd_cofactors, so this counts those calls directly
+    # _gcd_cofactors, so this counts those calls directly, and the
+    # polynomial products by wrapping IntPolynomial.__mul__
     script = '\n'.join([
         'import importlib, itertools',
         'import workloads',
         'from qreals.identities import verify_identity',
+        'from qreals.polynomial import IntPolynomial',
         'module = importlib.import_module("qreals.ratfun")',
         'inner, calls = module._gcd_cofactors, []',
         'def counted(a, b):',
         '    calls.append(1)',
         '    return inner(a, b)',
         'module._gcd_cofactors = counted',
+        'mul, products = IntPolynomial.__mul__, []',
+        'def multiplied(a, b):',
+        '    products.append(1)',
+        '    return mul(a, b)',
+        'IntPolynomial.__mul__ = multiplied',
         'cases = itertools.islice(itertools.chain.from_iterable(',
         '    workloads.identity_blocks("identity-exact", 7)), 1000)',
         'ok = all(verify_identity(name, binding,',
         '                         precision=workloads.PRECISION,',
         '                         xdeg=workloads.XDEG).ok',
         '         for name, binding in cases)',
-        'print(ok, len(calls))'])
+        'print(ok, len(calls), len(products))'])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / 'src'), str(ROOT / 'qbench')]))
     done = subprocess.run([sys.executable, '-c', script],
                           capture_output=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr.decode()
-    ok, calls = done.stdout.decode().split()
+    ok, calls, products = done.stdout.decode().split()
     assert ok == 'True'
-    assert 0 < int(calls) <= 12515
+    assert 0 < int(calls) <= 7464
+    assert 0 < int(products) <= 18610
