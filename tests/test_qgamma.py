@@ -1,13 +1,16 @@
 """Gamma function: frozen series prefixes, shift law, integrality."""
 
+import inspect
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreals import (DomainError, IntegralityError, order_at_zero, q_binomial,
-                    q_factorial, q_rational)
+import qreals
+import qreals.qgamma as qgamma
+from qreals import (DEFAULT_PRECISION, DomainError, IntegralityError,
+                    order_at_zero, q_binomial, q_factorial, q_rational)
 from qreals.qgamma import (
     gamma_convergence_report,
     gamma_power,
@@ -16,7 +19,9 @@ from qreals.qgamma import (
     q_gamma,
     scalar_binomial_series,
     _gamma_order,
+    _kernel_series,
     _pochhammer_order,
+    _pochhammer_product,
     _require_integer_coefficients,
 )
 from qreals.series import LaurentSeries, series, series_from_ratfun
@@ -90,9 +95,13 @@ def test_gamma_thirds():
 
 
 def test_gamma_default_precision():
-    from qreals import DEFAULT_PRECISION
     g = q_gamma(Fraction(3, 2))
     assert g.precision == DEFAULT_PRECISION
+
+
+def test_pochhammer_default_precision():
+    assert qreals.pochhammer_at_q(Fraction(1, 2)) == pochhammer_at_q(
+        Fraction(1, 2), DEFAULT_PRECISION)
 
 
 @pytest.mark.parametrize('alpha', [
@@ -227,3 +236,92 @@ def test_orders_come_from_the_floor_and_fractional_order(r, t):
         assert _gamma_order(r) == -sum(below)
     if r.denominator > 1 or r >= 0:
         assert _pochhammer_order(r) == -sum(below[1:])
+
+
+# -- the builder caches -----------------------------------------------------
+
+cache_precisions = st.integers(min_value=1, max_value=48)
+kernel_args = st.builds(Fraction, st.integers(min_value=0, max_value=40),
+                        st.integers(min_value=1, max_value=12))
+pochhammer_args = st.builds(
+    Fraction, st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=1, max_value=12)).filter(
+        lambda r: r >= 0 or r.denominator > 1)
+BUILDERS = [(_kernel_series, _kernel_series, kernel_args),
+            (pochhammer_at_q, _pochhammer_product, pochhammer_args)]
+
+
+def _fresh(build, cache, value, precision):
+    cache.cache_clear()
+    return build(value, precision).to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(BUILDERS), cache_precisions)
+def test_warm_entries_equal_cold_builds(data, builder, precision):
+    # the entry is handed out again after earlier callers have used it in
+    # series arithmetic, which must not have changed it
+    build, cache, args = builder
+    value = data.draw(args)
+    cold = _fresh(build, cache, value, precision)
+    entry = build(value, precision)
+    entry * entry - entry
+    q_gamma(value + 1, precision)
+    hits = cache.cache_info().hits
+    assert build(value, precision).to_json() == cold
+    assert cache.cache_info().hits == hits + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(BUILDERS), cache_precisions,
+       cache_precisions)
+def test_precision_order_does_not_matter(data, builder, low, high):
+    build, cache, args = builder
+    value = data.draw(args)
+    low, high = sorted((low, high))
+    want = {p: _fresh(build, cache, value, p) for p in (low, high)}
+    for first, second in ((high, low), (low, high)):
+        cache.cache_clear()
+        got = {p: build(value, p).to_json() for p in (first, second)}
+        assert got == want
+
+
+def test_integer_and_fraction_share_an_entry():
+    _pochhammer_product.cache_clear()
+    a = pochhammer_at_q(2, 12)
+    b = pochhammer_at_q(Fraction(2), 12)
+    info = _pochhammer_product.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert b is a
+
+
+def test_domain_errors_are_raised_every_time_and_not_cached():
+    _pochhammer_product.cache_clear()
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            pochhammer_at_q(-3, 8)
+        with pytest.raises(DomainError):
+            pochhammer_at_q(Fraction(-6, 2), 8)
+    info = _pochhammer_product.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+@pytest.mark.parametrize('cache', [_kernel_series, _pochhammer_product])
+def test_caches_are_bounded(cache):
+    # precision 2 keeps every build to a factor or two
+    cache.cache_clear()
+    size = cache.cache_info().maxsize
+    assert size == 512
+    for n in range(size + 40):
+        cache(Fraction(n, 7), 2)
+    assert cache.cache_info().currsize == size
+    cache.cache_clear()
+
+
+def test_public_gamma_routines_stay_plain_functions():
+    # the tracer wraps a layer's public names only where
+    # inspect.isfunction holds, so the per-layer qgamma metrics see every
+    # call only while these are undecorated
+    for name in ('q_gamma', 'pochhammer_at_q', 'gamma_reflection',
+                 'gamma_power'):
+        assert inspect.isfunction(getattr(qgamma, name)), name
