@@ -52,8 +52,8 @@ C.
 
 import itertools
 import math
-from functools import lru_cache
 
+from . import _cache
 from .errors import DomainError, InsufficientPrecisionError
 from .polynomial import IntPolynomial
 from .qcore import (DEFAULT_PRECISION, _as_rational, _factor_order,
@@ -94,7 +94,7 @@ def q_pochhammer(x, n, inverse_base=False):
     return out
 
 
-@lru_cache(maxsize=128)
+@_cache.table(128)
 def _cyclotomic(d):
     """Phi_d, q^d - 1 divided by Phi_e for every proper divisor e of d."""
     p = IntPolynomial((-1,) + (0,) * (d - 1) + (1,))

@@ -36,8 +36,8 @@ import math
 import operator
 import re
 from fractions import Fraction
-from functools import lru_cache
 
+from . import _cache
 from .errors import DomainError, NonConvergenceError
 from .polynomial import IntPolynomial
 from .ratfun import QRationalFunction, ratfun
@@ -180,7 +180,7 @@ def _tower(terms):
 # Bounded well above what the workloads keep: 901 entries after 6 002
 # identity-exact cases, 315 after 1 530 identity-series cases (seed 7),
 # deep convergents of the irrational inputs included.
-@lru_cache(maxsize=4096)
+@_cache.table(4096)
 def _q_rational_cached(num, den):
     # the shift law [r]_q = q^-m ([r + m]_q - [m]_q), with the smallest
     # m >= 0 that puts r + m in (1, 2] when r <= 1; N - [m]D shares with D
@@ -389,6 +389,9 @@ def _as_rational(value):
     """The Fraction a rational input stands for; None for an irrational."""
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
+    if not isinstance(value, RealSpec):
+        raise TypeError(f'expected an int, a Fraction or a RealSpec, '
+                        f'not {type(value).__name__}')
     return value.value if value.is_rational else None
 
 

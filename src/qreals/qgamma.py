@@ -42,26 +42,23 @@ minus the orders of the [a + j]_q divided out below 1).  A result that
 still falls short raises InsufficientPrecisionError.
 
 Caching: the two O(P^2) builders, the kernel nest _kernel_series and the
-Pochhammer product _pochhammer_product behind pochhammer_at_q, keep their
-results in functools.lru_cache(maxsize=512) tables keyed on the exact
-argument (a Fraction: numerator and denominator) and the precision, as
-qcore._q_rational_cached keeps [r]_q.  An identity suite asks for few
-distinct keys over and over, and a LaurentSeries is immutable, so an
-entry is safely shared.  Errors are not cached: the domain check runs
-on every call, before the table.  The compositions (the product with
-scalar_binomial_series and the descent below 1 in q_gamma,
-gamma_reflection, gamma_power) are not cached, so the cached state stays
-the two kernels: 94 series, about 0.1 MB, after 13 000 identity-series
-benchmark cases.  The public names stay plain functions, so wrappers
-that look for functions, such as the benchmark's tracer, still see
-every call.
+Pochhammer product _pochhammer_product behind pochhammer_at_q, keep
+their results in 512-entry tables of the library's cache registry
+(_cache), keyed on the exact argument (a Fraction) and the precision;
+_cache.info() reports every table and _cache.clear() empties them all.
+An identity suite asks for few distinct keys over and over, and a
+LaurentSeries is immutable, so an entry is safely shared.  Errors are
+not cached: the domain check runs on every call, before the table.  The
+compositions (q_gamma, gamma_reflection, gamma_power) are not cached.
+The public names stay plain functions, so wrappers that look for
+functions, such as the benchmark's tracer, still see every call.
 """
 
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 
+from . import _cache
 from .errors import DomainError, InsufficientPrecisionError, IntegralityError
 from .qcore import DEFAULT_PRECISION, _factor_order, _floor_and_order
 from .qbinomial import binomial_order, shift_numerator
@@ -110,7 +107,7 @@ def gamma_convergence_report(value, count=8):
 # Bounded well above what the workloads keep: the first 13 000
 # identity-series cases of seed 13 make 6 928 calls with 62 distinct
 # (a, precision) keys.
-@lru_cache(maxsize=512)
+@_cache.table(512)
 def _kernel_series(a, precision):
     # sum over k < K of (-1)^k q^(k(k+1)/2) binom(a, k)_q, for a >= 0, as
     # the Horner nest H_k = 1 - q^(k+1) H_(k+1) [a - k]_q / [k + 1]_q
@@ -183,7 +180,7 @@ def pochhammer_at_q(value, precision=DEFAULT_PRECISION):
 # Bounded well above what the workloads keep: the first 13 000
 # identity-series cases of seed 13 make 2 598 calls with 32 distinct
 # (r, precision) keys.
-@lru_cache(maxsize=512)
+@_cache.table(512)
 def _pochhammer_product(r, precision):
     # 1 - q^j {r}_q = (1 - q)[r + j]_q = f(j) / D exactly, so each factor
     # is g(j) / f(j), with g(j) = (1 - q^j) D; only the divisions move

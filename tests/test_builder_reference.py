@@ -23,13 +23,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreals import ConvergentSequence, PeriodicContinuedFraction
+from qreals import ConvergentSequence, PeriodicContinuedFraction, _cache
 from qreals.errors import DomainError, InsufficientPrecisionError
 from qreals.qbinomial import (binomial_order, q_binomial_series,
                               q_factorial_poly)
 from qreals.qcore import q_brace, q_brace_series, q_rational, q_real_series
-from qreals.qgamma import (_kernel_series, _pochhammer_product,
-                           pochhammer_at_q, q_gamma)
+from qreals.qgamma import _kernel_series, pochhammer_at_q, q_gamma
 from qreals.qseries import (XSeries, binomial_coefficients, binomial_product,
                             binomial_series, generalized_pochhammer,
                             negative_binomial_coefficients,
@@ -274,7 +273,7 @@ def test_q_binomial_series_matches_full_length_factors(value, k, precision):
 @given(rationals(low=0, high=6), precisions)
 def test_gamma_kernel_matches_full_length_factors(a, precision):
     want = reference_kernel(a, precision)
-    _kernel_series.cache_clear()
+    _cache.clear()
     assert _kernel_series(a, precision).to_json() == want.to_json()
 
 
@@ -283,7 +282,7 @@ def test_gamma_kernel_matches_full_length_factors(a, precision):
        precisions)
 def test_pochhammer_matches_expanded_divisors(r, precision):
     want = reference_pochhammer(r, precision)
-    _pochhammer_product.cache_clear()
+    _cache.clear()
     assert pochhammer_at_q(r, precision).to_json() == want.to_json()
 
 

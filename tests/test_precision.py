@@ -13,6 +13,7 @@ import qreals.identities as identities
 import qreals.qcore as qcore
 import qreals.qgamma as qgamma
 import qreals.qseries as qseries
+from qreals import _cache
 from qreals import (ConvergentSequence, InsufficientPrecisionError,
                     PeriodicContinuedFraction, verify_identity)
 from qreals.qbinomial import binomial_order, q_binomial_series
@@ -109,7 +110,10 @@ def test_power_expands_its_base_once(monkeypatch, a, b):
 @pytest.mark.parametrize('fn', PRODUCTS)
 @pytest.mark.parametrize('r', VALUES)
 def test_product_expands_once(monkeypatch, fn, r):
+    # one build from a cold table, and none for the same key again
     calls = _counting(monkeypatch, qseries, '_expand_product')
+    _cache.clear()
+    fn(r, 5, P)
     fn(r, 5, P)
     assert len(calls) == 1
 
@@ -141,6 +145,7 @@ def test_irrational_binomials_read_the_value_once(monkeypatch, build, value):
 @pytest.mark.parametrize('value', VALUES + [SILVER], ids=str)
 def test_product_expands_the_brace_once(monkeypatch, fn, value):
     calls = _counting(monkeypatch, qseries, 'q_brace_series')
+    _cache.clear()
     fn(value, 5, P)
     assert len(calls) == 1
 
@@ -266,7 +271,7 @@ def test_gamma_runs_its_binomials_once(monkeypatch, r):
     monkeypatch.setattr(qgamma, 'shift_numerator', counting)
     monkeypatch.setattr(qgamma, '_kernel_series', marked)
     # a cached kernel would request no factor at all
-    kernel.cache_clear()
+    _cache.clear()
     q_gamma(r, P)
     [(a, precision, [requested])] = kernels
     terms = _kernel_terms(a, precision)
@@ -287,7 +292,7 @@ def test_pochhammer_builds_each_factor_once(monkeypatch, r):
             return numerator(t)
         return den, counted
     monkeypatch.setattr(qgamma, 'shift_numerator', counting)
-    qgamma._pochhammer_product.cache_clear()
+    _cache.clear()
     pochhammer_at_q(r, P)
     factors = [t for t in requested if t]
     assert factors

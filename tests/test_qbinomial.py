@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qreals import _cache
 from qreals import (ConvergentSequence, DomainError, IntPolynomial,
                     PeriodicContinuedFraction, QRationalFunction,
                     binomial_order, q_binomial, q_binomial_series, q_brace,
@@ -16,8 +17,7 @@ from qreals import (ConvergentSequence, DomainError, IntPolynomial,
                     q_real_series, ratfun, series_from_ratfun)
 from qreals.qbinomial import (_cyclotomic, _has_cyclotomic_factor,
                               _shift_factors)
-from qreals.qcore import (_factor_order, _floor_and_order,
-                          _q_rational_cached, _shift_law)
+from qreals.qcore import _factor_order, _floor_and_order, _shift_law
 
 # the package exports the function ratfun under the module's name
 ratfun_module = importlib.import_module('qreals.ratfun')
@@ -101,7 +101,7 @@ def test_binomial_takes_no_gcd(monkeypatch):
         return inner(*args)
     # every gcd the rational functions take goes through _gcd_cofactors
     monkeypatch.setattr(ratfun_module, '_gcd_cofactors', counted)
-    _q_rational_cached.cache_clear()
+    _cache.clear()
     for r in (Fraction(5, 3), Fraction(-7, 4), Fraction(31, 40), 0, 5, -3):
         for k in range(9):
             q_binomial(r, k)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qreals.qcore as qcore
+from qreals import _cache
 from qreals.errors import DomainError, NonConvergenceError
 from qreals.polynomial import IntPolynomial, _gcd_cofactors
 from qreals.qcore import (ContinuedFraction, ConvergentSequence,
@@ -297,7 +298,7 @@ def test_rational_deformations_take_no_gcd(monkeypatch):
     # every gcd it takes goes through _gcd_cofactors
     monkeypatch.setattr(importlib.import_module('qreals.ratfun'),
                         '_gcd_cofactors', counting_gcd)
-    qcore._q_rational_cached.cache_clear()
+    _cache.clear()
     for r in (Fraction(52, 23), Fraction(-8, 5), Fraction(1, 40), 0, -3,
               Fraction(12, 5), Fraction(100001, 100000),
               ContinuedFraction([1, 3000, 3000, 1]).value()):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import qreals
 import qreals.qgamma as qgamma
+from qreals import _cache
 from qreals import (DEFAULT_PRECISION, DomainError, IntegralityError,
                     order_at_zero, q_binomial, q_factorial, q_rational)
 from qreals.qgamma import (
@@ -251,8 +252,8 @@ BUILDERS = [(_kernel_series, _kernel_series, kernel_args),
             (pochhammer_at_q, _pochhammer_product, pochhammer_args)]
 
 
-def _fresh(build, cache, value, precision):
-    cache.cache_clear()
+def _fresh(build, value, precision):
+    _cache.clear()
     return build(value, precision).to_json()
 
 
@@ -263,7 +264,7 @@ def test_warm_entries_equal_cold_builds(data, builder, precision):
     # series arithmetic, which must not have changed it
     build, cache, args = builder
     value = data.draw(args)
-    cold = _fresh(build, cache, value, precision)
+    cold = _fresh(build, value, precision)
     entry = build(value, precision)
     entry * entry - entry
     q_gamma(value + 1, precision)
@@ -276,12 +277,12 @@ def test_warm_entries_equal_cold_builds(data, builder, precision):
 @given(st.data(), st.sampled_from(BUILDERS), cache_precisions,
        cache_precisions)
 def test_precision_order_does_not_matter(data, builder, low, high):
-    build, cache, args = builder
+    build, _, args = builder
     value = data.draw(args)
     low, high = sorted((low, high))
-    want = {p: _fresh(build, cache, value, p) for p in (low, high)}
+    want = {p: _fresh(build, value, p) for p in (low, high)}
     for first, second in ((high, low), (low, high)):
-        cache.cache_clear()
+        _cache.clear()
         got = {p: build(value, p).to_json() for p in (first, second)}
         assert got == want
 
@@ -309,13 +310,13 @@ def test_domain_errors_are_raised_every_time_and_not_cached():
 @pytest.mark.parametrize('cache', [_kernel_series, _pochhammer_product])
 def test_caches_are_bounded(cache):
     # precision 2 keeps every build to a factor or two
-    cache.cache_clear()
+    _cache.clear()
     size = cache.cache_info().maxsize
     assert size == 512
     for n in range(size + 40):
         cache(Fraction(n, 7), 2)
     assert cache.cache_info().currsize == size
-    cache.cache_clear()
+    _cache.clear()
 
 
 def test_public_gamma_routines_stay_plain_functions():

@@ -1,12 +1,16 @@
+import inspect
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from qreals import (DomainError, InsufficientPrecisionError, IntPolynomial,
+import qreals.qseries as qseries
+from qreals import _cache
+from qreals import (ConvergentSequence, DomainError, InsufficientPrecisionError, IntPolynomial,
                     LaurentSeries, PeriodicContinuedFraction,
-                    QRationalFunction, RationalValue, q_brace, q_rational,
+                    QRationalFunction, RationalValue, pochhammer_at_q,
+                    q_binomial, q_brace, q_gamma, q_rational, q_real_series,
                     ratfun, series_from_ratfun)
 from qreals.cli import main
 from qreals.qseries import (XSeries, binomial_coefficients, binomial_product,
@@ -305,3 +309,105 @@ def test_cli_negative_xdeg_is_a_one_line_usage_error(capsys, family):
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, '')
     assert captured.err == 'error: xdeg must be at least 0\n'
+
+
+# -- the product table ------------------------------------------------------
+
+PRODUCTS = [binomial_product, negative_binomial_product,
+            generalized_pochhammer]
+table = qseries._product_table
+# rationals of either sign, integers among them
+product_values = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.builds(Fraction, st.integers(min_value=-30, max_value=30),
+              st.integers(min_value=1, max_value=8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PRODUCTS), product_values,
+       st.integers(min_value=0, max_value=6),
+       st.integers(min_value=-2, max_value=40))
+def test_warm_product_entries_equal_cold_builds(build, value, xdeg,
+                                                precision):
+    # the entry is handed out again after earlier callers have used it in
+    # series arithmetic, which must not have changed it
+    _cache.clear()
+    cold = build(value, xdeg, precision).to_json()
+    entry = build(value, xdeg, precision)
+    entry * entry - entry
+    entry.substitute_x(2)
+    hits = table.cache_info().hits
+    assert build(value, xdeg, precision).to_json() == cold
+    assert table.cache_info().hits == hits + 1
+
+
+def test_integer_and_fraction_share_a_product_entry():
+    table.cache_clear()
+    a = binomial_product(2, 3, 8)
+    b = binomial_product(Fraction(2), 3, 8)
+    info = table.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert b is a
+
+
+def test_negative_x_degree_is_raised_every_time_and_not_cached():
+    table.cache_clear()
+    for _ in range(3):
+        for build in PRODUCTS:
+            with pytest.raises(DomainError, match='x-degree'):
+                build(Fraction(5, 3), -1, 8)
+    info = table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def test_convergent_sequences_are_expanded_every_call():
+    factory_calls = []
+
+    def convergents():
+        factory_calls.append(1)
+        return iter([Fraction(3, 2)] * 4)
+    value = ConvergentSequence(convergents, 'three halves')
+    table.cache_clear()
+    want = binomial_product(Fraction(3, 2), 3, 8).to_json()
+    for n in range(1, 4):
+        before = len(factory_calls)
+        assert binomial_product(value, 3, 8).to_json() == want
+        assert len(factory_calls) > before
+    assert table.cache_info().currsize == 1
+
+
+def test_product_table_is_bounded():
+    # x-degree 1 at precision 2 keeps every build to a few terms
+    table.cache_clear()
+    for n in range(70):
+        binomial_product(Fraction(n, 7), 1, 2)
+    info = table.cache_info()
+    assert info.currsize == info.maxsize == 64
+
+
+def test_clear_empties_every_registered_table():
+    binomial_product(Fraction(5, 3), 3, 8)
+    q_binomial(Fraction(5, 2), 4)
+    q_gamma(Fraction(7, 3), 8)
+    pochhammer_at_q(Fraction(1, 3), 8)
+    assert {'qreals.qcore._q_rational_cached', 'qreals.qbinomial._cyclotomic',
+            'qreals.qgamma._kernel_series', 'qreals.qgamma._pochhammer_product',
+            'qreals.qseries._product_table'} <= set(_cache.info())
+    assert all(info.currsize for info in _cache.info().values())
+    _cache.clear()
+    assert all(info.currsize == 0 for info in _cache.info().values())
+
+
+def test_product_routes_stay_plain_functions():
+    # the tracer wraps a layer's public names only where
+    # inspect.isfunction holds
+    for build in PRODUCTS:
+        assert inspect.isfunction(build), build.__name__
+
+
+@pytest.mark.parametrize('build', PRODUCTS + [
+    lambda value, *args: q_real_series(value)])
+@pytest.mark.parametrize('value', [0.5, '1/2'], ids=repr)
+def test_non_rational_numbers_are_a_type_error(build, value):
+    with pytest.raises(TypeError, match=type(value).__name__):
+        build(value, 3, 8)

@@ -17,7 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 LAZY = ('qreals.identities', 'qreals.qseries', 'qreals.qgamma',
         'qreals.snake', 'qreals.qbinomial')
-CORE = {'cli', 'errors', 'polynomial', 'qcore', 'ratfun', 'series'}
+# _cache is the registry of the memo tables, qcore's among them
+CORE = {'_cache', 'cli', 'errors', 'polynomial', 'qcore', 'ratfun', 'series'}
 
 
 def _loaded(code):
