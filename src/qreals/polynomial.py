@@ -344,14 +344,9 @@ def _unpack(n, k):
     """
     m = n.bit_length() // k // 2
     if m > _PACK_LEAF:
-        # the low m digits are the residue of n mod 2^(k m) that m
-        # balanced digits can reach: at most 2^(k-1) (1 + 2^k + ...)
-        mk = k * m
-        low = n & ((1 << mk) - 1)
-        if low > ((1 << mk) - 1) // ((1 << k) - 1) << (k - 1):
-            low -= 1 << mk
+        low = _low_digits(n, k, m)
         out = _unpack(low, k)
-        return out + [0] * (m - len(out)) + _unpack((n - low) >> mk, k)
+        return out + [0] * (m - len(out)) + _unpack((n - low) >> (k * m), k)
     mask = (1 << k) - 1
     half = 1 << (k - 1)
     out = []
@@ -363,6 +358,20 @@ def _unpack(n, k):
             n += 1
         out.append(d)
     return out
+
+
+def _low_digits(n, k, m):
+    """The value of the low m balanced base-2^k digits of n.
+
+    It is the residue of n mod 2^(k m) that m balanced digits can reach,
+    at most 2^(k-1) (1 + 2^k + ... + 2^(k (m-1))), so _unpack of it is
+    the first m digits of _unpack(n, k), without their trailing zeros.
+    """
+    mk = k * m
+    low = n & ((1 << mk) - 1)
+    if low > ((1 << mk) - 1) // ((1 << k) - 1) << (k - 1):
+        low -= 1 << mk
+    return low
 
 
 def _quotient(a, b):

@@ -409,8 +409,10 @@ def _floor_and_order(value):
     """
     r = _as_rational(value)
     if r is not None:
-        n = math.floor(r)
-        return n, math.ceil(1 / (r - n)) - 1 if r != n else math.inf
+        # in integers: r = n + f/d, and ceil(d/f) - 1 = (d - 1) // f
+        d = r.denominator
+        n, f = divmod(r.numerator, d)
+        return n, (d - 1) // f if f else math.inf
     if isinstance(value, PeriodicContinuedFraction):
         terms = value.terms()
         return next(terms), next(terms)

@@ -43,11 +43,23 @@ refuses what div refuses; it runs one multiply and one division on the
 raw product and forms one canonical series at the end, and the builders
 apply their exact shift-law factors with it.
 
-Multiplication convolves the numerators, skipping zero coefficients, over
-the product of the denominators.  Division runs the quotient recurrence
-in int; a divisor lead other than +-1 puts powers of the lead in the
-common denominator.  series_from_ratfun expands a rational function
-through the same division kernel.
+Multiplication works on the numerators, over the product of the
+denominators.  An exact one-term factor c q^e / d is a shift by e and a
+scale by c / d, with no convolution: that is how substitute_x by q^n
+and the constant 1 of an XSeries multiply.  Otherwise _multiply takes
+one Kronecker product (polynomial's module docstring) when both
+operands have more than one nonzero term and the product of their
+nonzero counts reaches polynomial.KRONECKER_SIZE: the operands are
+packed at q = 2^k, k one more than the bit length of |a|_inf |b|_inf
+min(len a, len b), and only the low n balanced digits of the integer
+product are read back, from its residue mod 2^(k n), since a series
+product keeps only its first n terms.  Sparse and small products
+convolve, skipping zero coefficients.
+
+Division runs the quotient recurrence in int; a divisor lead other than
++-1 puts powers of the lead in the common denominator.
+series_from_ratfun expands a rational function through the same
+division kernel.
 
 Tuples are built from lists, tuple([...]), not from generators: CPython
 builds tuple(<generator>) in an over-allocated tuple and shrinks it in
@@ -69,7 +81,8 @@ import math
 from fractions import Fraction
 
 from .errors import InsufficientPrecisionError
-from .polynomial import IntPolynomial, _power, format_terms
+from .polynomial import (KRONECKER_SIZE, IntPolynomial, _low_digits,
+                         _pack, _power, _unpack, format_terms)
 
 
 class LaurentSeries:
@@ -222,6 +235,13 @@ class LaurentSeries:
         if not self._nums or not other._nums:
             return LaurentSeries.zero(p)
         o = self._order + other._order
+        for x, y in ((self, other), (other, self)):
+            if len(y._nums) == 1 and y._precision == math.inf:
+                # an exact c q^e / d: shift x by e and scale it by c / d
+                c, d = y._nums[0], y._den
+                if c == 1 and d == 1:
+                    return LaurentSeries(o, x._nums, x._den, p)
+                return _canonical(o, [c * v for v in x._nums], x._den * d, p)
         n = min(len(self._nums) + len(other._nums) - 1, p - o)
         if n <= 0:
             return LaurentSeries.zero(p)
@@ -474,8 +494,17 @@ def _canonical(order, nums, den, precision):
 def _multiply(a, b, n):
     """The first n coefficients of a * b, for int sequences a and b.
 
-    The convolution skips the zero coefficients of both.
+    With nnz(a) nnz(b) >= KRONECKER_SIZE nonzero terms and more than one
+    in each, one Kronecker product whose low n balanced digits are read
+    back (module docstring); otherwise a convolution that skips the zero
+    coefficients of both.
     """
+    nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
+    if nnz_a > 1 and nnz_b > 1 and nnz_a * nnz_b >= KRONECKER_SIZE:
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        k = bound.bit_length() + 1
+        out = _unpack(_low_digits(_pack(a, k) * _pack(b, k), k, n), k)
+        return out + [0] * (n - len(out))
     acc = [0] * n
     nonzero_b = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):

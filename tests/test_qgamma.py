@@ -20,9 +20,11 @@ from qreals.qgamma import (
     q_gamma,
     scalar_binomial_series,
     _gamma_order,
-    _kernel_series,
+    _gamma_table,
     _pochhammer_order,
     _pochhammer_product,
+    _power_table,
+    _reflection_table,
     _require_integer_coefficients,
 )
 from qreals.series import LaurentSeries, series, series_from_ratfun
@@ -242,19 +244,29 @@ def test_orders_come_from_the_floor_and_fractional_order(r, t):
 # -- the builder caches -----------------------------------------------------
 
 cache_precisions = st.integers(min_value=1, max_value=48)
-kernel_args = st.builds(Fraction, st.integers(min_value=0, max_value=40),
-                        st.integers(min_value=1, max_value=12))
+gamma_args = st.builds(Fraction, st.integers(min_value=-12, max_value=40),
+                       st.integers(min_value=1, max_value=6)).filter(
+                           lambda r: r > 0 or r.denominator > 1)
 pochhammer_args = st.builds(
     Fraction, st.integers(min_value=-40, max_value=40),
     st.integers(min_value=1, max_value=12)).filter(
         lambda r: r >= 0 or r.denominator > 1)
-BUILDERS = [(_kernel_series, _kernel_series, kernel_args),
-            (pochhammer_at_q, _pochhammer_product, pochhammer_args)]
+# gamma(a/b)^b at a/b off the poles
+power_args = st.tuples(st.integers(min_value=-9, max_value=12),
+                       st.integers(min_value=1, max_value=4)).filter(
+                           lambda ab: ab[0] > 0 or ab[0] % ab[1])
+# (public front, its table, its arguments before the precision)
+BUILDERS = [
+    (q_gamma, _gamma_table, st.tuples(gamma_args)),
+    (gamma_reflection, _reflection_table, st.tuples(gamma_args.filter(
+        lambda r: r.denominator > 1 and abs(r) < 4))),
+    (gamma_power, _power_table, power_args),
+    (pochhammer_at_q, _pochhammer_product, st.tuples(pochhammer_args))]
 
 
-def _fresh(build, value, precision):
+def _fresh(build, args, precision):
     _cache.clear()
-    return build(value, precision).to_json()
+    return build(*args, precision).to_json()
 
 
 @settings(max_examples=150, deadline=None)
@@ -263,13 +275,13 @@ def test_warm_entries_equal_cold_builds(data, builder, precision):
     # the entry is handed out again after earlier callers have used it in
     # series arithmetic, which must not have changed it
     build, cache, args = builder
-    value = data.draw(args)
-    cold = _fresh(build, value, precision)
-    entry = build(value, precision)
+    args = data.draw(args)
+    cold = _fresh(build, args, precision)
+    entry = build(*args, precision)
     entry * entry - entry
-    q_gamma(value + 1, precision)
+    q_gamma(abs(args[0]) + 1, precision)
     hits = cache.cache_info().hits
-    assert build(value, precision).to_json() == cold
+    assert build(*args, precision).to_json() == cold
     assert cache.cache_info().hits == hits + 1
 
 
@@ -278,45 +290,82 @@ def test_warm_entries_equal_cold_builds(data, builder, precision):
        cache_precisions)
 def test_precision_order_does_not_matter(data, builder, low, high):
     build, _, args = builder
-    value = data.draw(args)
+    args = data.draw(args)
     low, high = sorted((low, high))
-    want = {p: _fresh(build, value, p) for p in (low, high)}
+    want = {p: _fresh(build, args, p) for p in (low, high)}
     for first, second in ((high, low), (low, high)):
         _cache.clear()
-        got = {p: build(value, p).to_json() for p in (first, second)}
+        got = {p: build(*args, p).to_json() for p in (first, second)}
         assert got == want
 
 
-def test_integer_and_fraction_share_an_entry():
-    _pochhammer_product.cache_clear()
-    a = pochhammer_at_q(2, 12)
-    b = pochhammer_at_q(Fraction(2), 12)
-    info = _pochhammer_product.cache_info()
+@pytest.mark.parametrize('build, cache', [
+    (pochhammer_at_q, _pochhammer_product), (q_gamma, _gamma_table)])
+def test_integer_and_fraction_share_an_entry(build, cache):
+    _cache.clear()
+    a = build(2, 12)
+    b = build(Fraction(2), 12)
+    info = cache.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     assert b is a
 
 
+POLES = [lambda: pochhammer_at_q(-3, 8),
+         lambda: pochhammer_at_q(Fraction(-6, 2), 8),
+         lambda: q_gamma(0, 8), lambda: q_gamma(Fraction(-6, 2), 8),
+         lambda: gamma_reflection(2, 8),
+         lambda: gamma_reflection(Fraction(-4, 2), 8),
+         lambda: gamma_power(-2, 1, 8), lambda: gamma_power(-4, 2, 8),
+         lambda: gamma_power(1, 0, 8)]
+
+
 def test_domain_errors_are_raised_every_time_and_not_cached():
-    _pochhammer_product.cache_clear()
-    for _ in range(3):
-        with pytest.raises(DomainError):
-            pochhammer_at_q(-3, 8)
-        with pytest.raises(DomainError):
-            pochhammer_at_q(Fraction(-6, 2), 8)
-    info = _pochhammer_product.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
-
-
-@pytest.mark.parametrize('cache', [_kernel_series, _pochhammer_product])
-def test_caches_are_bounded(cache):
-    # precision 2 keeps every build to a factor or two
     _cache.clear()
-    size = cache.cache_info().maxsize
-    assert size == 512
+    for _ in range(3):
+        for call in POLES:
+            with pytest.raises(DomainError):
+                call()
+    for cache in (_gamma_table, _reflection_table, _power_table,
+                  _pochhammer_product):
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+# (table, its bound, the key of entry n); precision 2 keeps every build
+# to a factor or two, and reflection keys vary only the precision, since
+# both of its factors grow with the argument
+@pytest.mark.parametrize('cache, size, key', [
+    (_gamma_table, 128, lambda n: (Fraction(n, 7) + 1, 2)),
+    (_reflection_table, 64, lambda n: (Fraction(1, 2), n)),
+    (_power_table, 64, lambda n: (Fraction(n + 1), 1, 2)),
+    (_pochhammer_product, 512, lambda n: (Fraction(n, 7), 2))])
+def test_caches_are_bounded(cache, size, key):
+    _cache.clear()
+    assert cache.cache_info().maxsize == size
     for n in range(size + 40):
-        cache(Fraction(n, 7), 2)
+        cache(*key(n))
     assert cache.cache_info().currsize == size
     _cache.clear()
+
+
+# every rational of denominator 1, 2, 3 or 5 in [-5, 5] off the poles
+GRID = sorted({Fraction(n, d) for d in (1, 2, 3, 5)
+               for n in range(-5 * d, 5 * d + 1)} - set(range(-5, 1)))
+
+
+@pytest.mark.parametrize('precision', range(-6, 5))
+def test_gamma_routines_keep_any_precision(precision):
+    # below precision 0 the factors know no term, and their orders
+    # (their precisions) would eat the product's precision
+    routines = [(lambda r, p: q_gamma(r, p), GRID),
+                (lambda r, p: gamma_power(r.numerator, r.denominator, p),
+                 GRID),
+                (gamma_reflection, [r for r in GRID if r.denominator > 1])]
+    for build, values in routines:
+        for r in values:
+            out = build(r, precision)
+            assert out.precision == precision
+            assert out == build(r, 5).truncate(precision)
 
 
 def test_public_gamma_routines_stay_plain_functions():

@@ -9,9 +9,10 @@ import qreals.qseries as qseries
 from qreals import _cache
 from qreals import (ConvergentSequence, DomainError, InsufficientPrecisionError, IntPolynomial,
                     LaurentSeries, PeriodicContinuedFraction,
-                    QRationalFunction, RationalValue, pochhammer_at_q,
-                    q_binomial, q_brace, q_gamma, q_rational, q_real_series,
-                    ratfun, series_from_ratfun)
+                    QRationalFunction, RationalValue, gamma_power,
+                    gamma_reflection, pochhammer_at_q, q_binomial, q_brace,
+                    q_gamma, q_rational, q_real_series, ratfun,
+                    series_from_ratfun)
 from qreals.cli import main
 from qreals.qseries import (XSeries, binomial_coefficients, binomial_product,
                             binomial_series, generalized_pochhammer,
@@ -389,9 +390,12 @@ def test_clear_empties_every_registered_table():
     binomial_product(Fraction(5, 3), 3, 8)
     q_binomial(Fraction(5, 2), 4)
     q_gamma(Fraction(7, 3), 8)
+    gamma_reflection(Fraction(1, 3), 8)
+    gamma_power(1, 2, 8)
     pochhammer_at_q(Fraction(1, 3), 8)
     assert {'qreals.qcore._q_rational_cached', 'qreals.qbinomial._cyclotomic',
-            'qreals.qgamma._kernel_series', 'qreals.qgamma._pochhammer_product',
+            'qreals.qgamma._gamma_table', 'qreals.qgamma._reflection_table',
+            'qreals.qgamma._power_table', 'qreals.qgamma._pochhammer_product',
             'qreals.qseries._product_table'} <= set(_cache.info())
     assert all(info.currsize for info in _cache.info().values())
     _cache.clear()

@@ -2,12 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qreals.errors import InsufficientPrecisionError
 from qreals.polynomial import IntPolynomial
+from qreals.qcore import _floor_and_order
 from qreals.ratfun import ratfun
-from qreals.series import LaurentSeries, _Shape, series, series_from_ratfun
+from qreals.series import (LaurentSeries, _multiply, _Shape, series,
+                           series_from_ratfun)
 
 
 def P(*coeffs):
@@ -603,3 +605,87 @@ def test_common_denominator_is_reduced():
     u = series(0, [1, 2], 5) / series(0, [2, 1], 5)
     assert u._den == 32 and u.coeffs[0] == Fraction(1, 2)
     assert_canonical(u)
+
+
+# -- the product kernels ----------------------------------------------------
+
+def schoolbook_multiply(a, b, n):
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] += x * y
+    return out
+
+
+@st.composite
+def sparse_operand(draw, nonzero):
+    """nonzero coefficients of either sign up to 2^80, with zero runs
+    before each and at the end; or one value repeated with no zeros,
+    whose products reach the digit bound |a|_inf |b|_inf min(la, lb)."""
+    bits = draw(st.sampled_from([1, 8, 40, 80]))
+    if draw(st.booleans()):
+        return [draw(st.sampled_from([2 ** bits, -2 ** bits]))] * nonzero
+    out = []
+    for _ in range(nonzero):
+        out += [0] * draw(st.integers(min_value=0, max_value=3))
+        out.append(draw(st.integers(min_value=1, max_value=2 ** bits))
+                   * draw(st.sampled_from([1, -1])))
+    return out + [0] * draw(st.integers(min_value=0, max_value=2))
+
+
+@st.composite
+def kernel_operands(draw):
+    # nonzero counts whose product is 63, 64 or 65, on both sides of
+    # KRONECKER_SIZE, or a small pair; then n below and above la + lb - 1
+    na, nb = draw(st.one_of(
+        st.sampled_from([(7, 9), (9, 7), (8, 8), (4, 16), (5, 13), (13, 5),
+                         (2, 32), (1, 64), (64, 1), (1, 65)]),
+        st.tuples(st.integers(min_value=0, max_value=12),
+                  st.integers(min_value=0, max_value=12))))
+    a, b = draw(sparse_operand(na)), draw(sparse_operand(nb))
+    n = draw(st.integers(min_value=1, max_value=len(a) + len(b) + 2))
+    return a, b, n
+
+
+@given(kernel_operands())
+@example(([2 ** 80] * 8, [-2 ** 80] * 8, 15))
+def test_multiply_matches_schoolbook(operands):
+    a, b, n = operands
+    assert _multiply(a, b, n) == schoolbook_multiply(a, b, n)
+    assert _multiply(tuple(a), tuple(b), n) == schoolbook_multiply(a, b, n)
+
+
+# exact c q^e / d: units, other integers and fractions, negative e
+monomials = st.builds(
+    lambda e, c: series(e, [c]), st.integers(min_value=-6, max_value=6),
+    st.sampled_from([1, -1, 3, -2, Fraction(1, 2), Fraction(-5, 7),
+                     Fraction(6, 5)]))
+
+
+@given(monomials, any_series)
+@example(series(-2, [1]), LaurentSeries.zero(5))
+@example(series(3, [Fraction(-1, 3)]), LaurentSeries.zero(-4))
+def test_one_term_product_equals_the_general_product(m, s):
+    for got in (m * s, s * m):
+        assert_same(got, schoolbook_mul(m, s))
+        assert_canonical(got)
+
+
+def fraction_floor_and_order(r):
+    n = math.floor(r)
+    return n, math.ceil(1 / (r - n)) - 1 if r != n else math.inf
+
+
+@given(st.one_of(
+    st.integers(min_value=-60, max_value=60).map(Fraction),
+    st.fractions(min_value=-60, max_value=0, max_denominator=50),
+    st.fractions(min_value=0, max_value=1, max_denominator=400),
+    st.fractions(min_value=-10 ** 9, max_value=10 ** 9,
+                 max_denominator=10 ** 6)))
+@example(Fraction(-1, 3))
+@example(Fraction(1, 7))
+@example(Fraction(6, 7))
+@example(Fraction(-5))
+def test_floor_and_order_matches_the_fraction_formula(r):
+    assert _floor_and_order(r) == fraction_floor_and_order(r)
