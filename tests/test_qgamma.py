@@ -299,15 +299,15 @@ def test_precision_order_does_not_matter(data, builder, low, high):
         assert got == want
 
 
-@pytest.mark.parametrize('build, cache', [
-    (pochhammer_at_q, _pochhammer_product), (q_gamma, _gamma_table)])
-def test_integer_and_fraction_share_an_entry(build, cache):
-    _cache.clear()
-    a = build(2, 12)
-    b = build(Fraction(2), 12)
-    info = cache.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
-    assert b is a
+def test_integer_and_fraction_share_an_entry():
+    for build, cache in ((pochhammer_at_q, _pochhammer_product),
+                         (q_gamma, _gamma_table)):
+        _cache.clear()
+        a = build(2, 12)
+        b = build(Fraction(2), 12)
+        info = cache.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert b is a
 
 
 POLES = [lambda: pochhammer_at_q(-3, 8),
@@ -331,14 +331,17 @@ def test_domain_errors_are_raised_every_time_and_not_cached():
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
-# (table, its bound, the key of entry n); precision 2 keeps every build
-# to a factor or two, and reflection keys vary only the precision, since
-# both of its factors grow with the argument
+# (table, its bound, the key of entry n), each case named after its
+# table; precision 2 keeps every build to a factor or two, and
+# reflection keys vary only the precision, since both of its factors
+# grow with the argument
 @pytest.mark.parametrize('cache, size, key', [
-    (_gamma_table, 128, lambda n: (Fraction(n, 7) + 1, 2)),
-    (_reflection_table, 64, lambda n: (Fraction(1, 2), n)),
-    (_power_table, 64, lambda n: (Fraction(n + 1), 1, 2)),
-    (_pochhammer_product, 512, lambda n: (Fraction(n, 7), 2))])
+    pytest.param(cache, size, key, id=cache.__name__)
+    for cache, size, key in [
+        (_gamma_table, 128, lambda n: (Fraction(n, 7) + 1, 2)),
+        (_reflection_table, 64, lambda n: (Fraction(1, 2), n)),
+        (_power_table, 64, lambda n: (Fraction(n + 1), 1, 2)),
+        (_pochhammer_product, 512, lambda n: (Fraction(n, 7), 2))]])
 def test_caches_are_bounded(cache, size, key):
     _cache.clear()
     assert cache.cache_info().maxsize == size
