@@ -1,17 +1,31 @@
 """A Gamma function for the deformed rationals.
 
-For arguments >= 1 the definition is the product of two pieces: the
-alternating kernel
+Two identities carry every value here.  The q-binomial theorem at
+x = -q turns the binomial series into the Pochhammer product at q:
 
-    sum_k (-1)^k q^(k(k+1)/2) binom(a - 1, k)_q
+    sum_k (-1)^k q^(k(k+1)/2) binom(a, k)_q
+        = prod_(j>=1) (1 - q^j) / (1 - q^j {a}_q),
 
-(the binomial series evaluated at x = -q, regrouped by q-order) and the
-classical power series for (1-q)^(1-a).  Each kernel term sits at q-order
-k(k+1)/2 + ord(binom(a-1, k)), which grows strictly once k passes
-floor(a-1), so finitely many terms settle any finite precision.
-Arguments below 1 are reached through gamma(a) = gamma(a+1) / [a]_q,
-which leaves poles at the nonpositive integers: gamma(a + m) on [1, 2)
-divided by the exact factors [a + j]_q, j < m, of the shift law.
+and the Gamma function is that product times the classical power
+series for (1-q)^(1-a):
+
+    gamma(a) = P(a - 1) (1 - q)^(1 - a),
+
+with P the Pochhammer product (Morier-Genoud and Ovsienko, Forum Math.
+Sigma 8, 2020; Gasper and Rahman, Basic Hypergeometric Series, ch. 1).
+gamma(1) = 1, gamma(a + 1) = [a]_q gamma(a), and the nonpositive
+integers are poles.
+
+Both come from one walk.  For a >= 0 the sum on the left is the
+alternating sum of one qbinomial.binomial_run: term k sits at q-order
+k(k+1)/2 + ord binom(a, k) >= k, so the terms k <= P settle precision
+P, and the run stops by itself once no later term shows.  Below 0 the
+sum does not converge, and the brace law {a + m}_q = q^m {a}_q gives
+the descent instead: P(a) is P(a + m), m = ceil(-a), divided by its
+first m factors 1 - q^j {a}_q = (1 - q)[a + j]_q = f(j) / D, with
+f(j) from qbinomial.shift_numerator and D the denominator of [a]_q,
+both exact.  An exact factor moves a series' precision by exactly its
+order.
 
 The Gamma values of non-integer rationals are full Laurent series with
 unbounded rational coefficients, yet the reflection product
@@ -20,54 +34,40 @@ coefficients; the helpers here assert that collapse and raise
 IntegralityError if it ever fails, since a violation can only mean an
 arithmetic bug.
 
-Every factor the kernel, the descent below 1 and the Pochhammer product
-apply is exact, and all come from the brace law {a + j}_q = q^j {a}_q
-through the shift-law numerators of qbinomial.shift_numerator:
-(1 - q) D [a + t]_q = f(t) and (1 - q) D [s]_q = g(s), so a ratio of
-deformed factors is one LaurentSeries.times_ratio by f / g.  The kernel
-is the Horner nest H_k = 1 - q^(k+1) H_(k+1) f(-k) / g(k + 1) of its
-binomial factors [a - k]_q / [k + 1]_q, from the last term down to
-H_0, the sum; the descent divides by [a + j]_q as g(1) / f(j); and
-the Pochhammer factor 1 - q^j {a}_q, which is (1 - q)[a + j]_q, enters
-as g(j) / f(j).  An exact factor moves a series' precision by exactly
-its order.
-
 Precision policy: each function returns a series known to exactly the
 precision it is given, and none of them retries.  The precision after
 every factor is known in closed form, so each builds once at a working
-precision sized up front: the kernel nest from its terms' orders, the
-Pochhammer product from its order (_pochhammer_order), gamma_reflection
-and gamma_power from the Gamma orders (_gamma_order: 0 on [1, oo),
-minus the orders of the [a + j]_q divided out below 1).  A result that
-still falls short raises InsufficientPrecisionError.  A precision below
-0 is the build at precision 0, truncated: there a factor knows no term
-and counts its precision as its order, so its products would lose
-precision.
+precision sized up front from the orders of the products
+(_pochhammer_order) and of the Gamma values (_gamma_order, the order of
+P(a - 1)).  A binomial that falls short raises
+InsufficientPrecisionError.  A precision below 0 is the build at
+precision 0, truncated.
 
 Caching: every public routine is a plain function that runs its domain
 check and then reads a table of the library's cache registry (_cache),
 keyed on the exact argument (a Fraction) and the precision:
-_gamma_table (128 entries) behind q_gamma, whose climb below 1 reads it
-again through q_gamma, _reflection_table and _power_table (64 each)
-behind gamma_reflection and gamma_power, and _pochhammer_product (512)
-behind pochhammer_at_q.  The kernel nest is built only for a Gamma
-value that is not in its table, so it has no table of its own.
-_cache.info() reports every table and _cache.clear() empties them all.
-An identity suite asks for few distinct keys over and over, and a
-LaurentSeries is immutable, so an entry is safely shared.  Errors are
-not cached: the domain check runs on every call, before the table.  The
-public names stay plain functions, so wrappers that look for functions,
-such as the benchmark's tracer, still see every call.
+_gamma_table (128 entries) behind q_gamma, _reflection_table and
+_power_table (64 each) behind gamma_reflection and gamma_power, and
+_pochhammer_product (512) behind pochhammer_at_q.  A Gamma value that
+is not in its table reads P(a - 1) through pochhammer_at_q, so the
+products, the binomial sums for a >= 0 among them, are built once
+whichever route asks for them.  _cache.info() reports every table and
+_cache.clear() empties them all.  An identity suite asks for few
+distinct keys over and over, and a LaurentSeries is immutable, so an
+entry is safely shared.  Errors are not cached: the domain check runs
+on every call, before the table.  The public names stay plain
+functions, so wrappers that look for functions, such as the
+benchmark's tracer, still see every call.
 """
 
-import itertools
 import math
 from fractions import Fraction
 
 from . import _cache
 from .errors import DomainError, InsufficientPrecisionError, IntegralityError
-from .qcore import DEFAULT_PRECISION, _factor_order, _floor_and_order
-from .qbinomial import binomial_order, shift_numerator
+from .qcore import (DEFAULT_PRECISION, _factor_order, _floor_and_order,
+                    q_rational)
+from .qbinomial import binomial_order, binomial_run, shift_numerator
 from .series import LaurentSeries, _canonical
 
 
@@ -101,7 +101,7 @@ def gamma_convergence_report(value, count=8):
     kernel term, k(k+1)/2 + ord(binom(value-1, k)).  For value >= 1 the
     orders increase strictly beyond floor(value - 1); below 1 they
     plateau (half-integers down to 0) or run off to -infinity, so the
-    sum does not converge coefficientwise and the recursion is used
+    sum does not converge coefficientwise and the descent is used
     instead.
     """
     a = Fraction(value) - 1
@@ -111,32 +111,13 @@ def gamma_convergence_report(value, count=8):
 
 
 def _kernel_series(a, precision):
-    # sum over k < K of (-1)^k q^(k(k+1)/2) binom(a, k)_q, for a >= 0, as
-    # the Horner nest H_k = 1 - q^(k+1) H_(k+1) [a - k]_q / [k + 1]_q
-    # with H_(K-1) = 1 and the sum H_0.  Term k sits at order low_k =
-    # k(k+1)/2 + ord binom(a, k), which grows strictly with k for a >= 0,
-    # so K is the first k whose term vanishes or has low_k >= precision.
-    # Nest k is needed to precision - low_k, and each exact factor moves
-    # the precision by its order, low_(k+1) - low_k - (k + 1), so the
-    # nest started at precision - low_(K-1) ends at precision.
-    n, b = _floor_and_order(a)
-    lows = [0]
-    for k in itertools.count():
-        o = _factor_order(n, b, -k)
-        low = lows[-1] + k + 1 + o
-        if o == math.inf or low >= precision:
-            break
-        lows.append(low)
-    base, numerator = shift_numerator(a)
-    nest = LaurentSeries.one().truncate(precision - lows[-1])
-    for k in range(len(lows) - 2, -1, -1):
-        step = nest.times_ratio(numerator(-k), base(k + 1)).shift(k + 1)
-        nest = 1 - step
-    if nest.precision < precision:
-        raise InsufficientPrecisionError(
-            f'Gamma kernel of {a} reached precision {nest.precision}, '
-            f'not {precision}')
-    return nest.truncate(precision)
+    # sum_k (-1)^k q^(k(k+1)/2) binom(a, k)_q for a >= 0, the terms
+    # k <= precision of one binomial run (module docstring)
+    shifts = [k * (k + 1) // 2 for k in range(precision + 1)]
+    terms = binomial_run(a, shifts, precision)
+    return sum((-t if k % 2 else t).shift(s)
+               for k, (s, t) in enumerate(zip(shifts, terms))) \
+        .truncate(precision)
 
 
 def q_gamma(value, precision=DEFAULT_PRECISION):
@@ -152,69 +133,49 @@ def q_gamma(value, precision=DEFAULT_PRECISION):
 
 
 # Bounded above what the workloads keep: the first 13 000
-# identity-series cases of seed 13 ask for 109 distinct (r, precision)
+# identity-series cases of seed 13 ask for 85 distinct (r, precision)
 # keys.
 @_cache.table(128)
 def _gamma_table(r, precision):
-    if r >= 1:
-        kernel = _kernel_series(r - 1, precision)
-        return (kernel * scalar_binomial_series(r, precision)) \
-            .truncate(precision)
-    # climb to [1, 2) and divide by the skipped factors [r + j]_q =
-    # f(j) / ((1 - q) D); they are exact, so only their combined q-order
-    # -_gamma_order(r) is consumed from the precision.  The climb reads
-    # the table through q_gamma, so the value at r + m is built in a call
-    # of its own: for r in (0, 1) its kernel reads shift_numerator(r)
-    # too, and the benchmark's tracer counts a second read of one
-    # argument within one call as a precision retry
-    m = math.ceil(1 - r)
-    out = q_gamma(r + m, precision + max(0, -_gamma_order(r)))
-    base, numerator = shift_numerator(r)
-    for j in range(m):
-        out = out.times_ratio(base(1), numerator(j))
-    return out.truncate(precision)
+    # gamma(r) = P(r - 1) (1 - q)^(1 - r); the power series has order 0,
+    # so it is needed beyond precision by the product's negative order
+    pad = max(0, -_gamma_order(r))
+    return (pochhammer_at_q(r - 1, precision)
+            * scalar_binomial_series(r, precision + pad)).truncate(precision)
 
 
 def pochhammer_at_q(value, precision=DEFAULT_PRECISION):
     """The infinite Pochhammer product evaluated at x = q.
 
     Expands prod_{j>=1} (1 - q^j) / (1 - q^j {value}_q) to the given
-    precision.  Both factor families tend to 1, the denominator at rate
-    j + ord({value}_q), so only finitely many factors matter.  For
-    nonnegative integers the product telescopes to (1-q)(1-q^2)...;
-    negative integers make a denominator factor vanish identically.
+    precision: for value >= 0 as the q-binomial series at x = -q, below
+    0 by the descent of the module docstring.  For nonnegative integers
+    the product telescopes to (1-q)(1-q^2)...; negative integers make a
+    denominator factor vanish identically.
     """
     r = Fraction(value)
     if r.denominator == 1 and r < 0:
         raise DomainError(
             f'Pochhammer product at q diverges for negative integer {r}')
-    return _pochhammer_product(r, precision)
+    return _pochhammer_product(r, max(precision, 0)).truncate(precision)
 
 
 # Bounded well above what the workloads keep: the first 13 000
-# identity-series cases of seed 13 make 2 598 calls with 32 distinct
-# (r, precision) keys.
+# identity-series cases of seed 13 ask for 109 distinct (r, precision)
+# keys, the products behind the Gamma values among them.
 @_cache.table(512)
 def _pochhammer_product(r, precision):
-    # 1 - q^j {r}_q = (1 - q)[r + j]_q = f(j) / D exactly, so each factor
-    # is g(j) / f(j), with g(j) = (1 - q^j) D; only the divisions move
-    # the order, which ends at _pochhammer_order(r)
-    base, numerator = shift_numerator(r)
-    order = _pochhammer_order(r)
-    work = precision - order
-    if work <= 0:
-        return LaurentSeries.zero(precision)
-    # factor j differs from 1 at q-order min(j, j + ord {r}) on a
-    # product of order `order`, so the factors from work + d on are
-    # invisible; ord {r}_q = floor(r), as in the brace law
-    d = max(0, -math.floor(r))
-    out = LaurentSeries.one().truncate(work)
-    for j in range(1, work + d):
-        out = out.times_ratio(base(j), numerator(j))
-    if out.precision < precision:
-        raise InsufficientPrecisionError(
-            f'Pochhammer product at q for {r} will not reach '
-            f'precision {precision}')
+    if r >= 0:
+        return _kernel_series(r, precision)
+    # P(r) = P(r + m) / prod_(j<=m) f(j)/D, whose divisors have order
+    # -_pochhammer_order(r) together
+    m = math.ceil(-r)
+    out = _pochhammer_product(
+        r + m, precision + max(0, -_pochhammer_order(r)))
+    _, numerator = shift_numerator(r)
+    den = LaurentSeries.from_polynomial(q_rational(r).den)
+    for j in range(1, m + 1):
+        out = out.times_ratio(den, numerator(j))
     return out.truncate(precision)
 
 
@@ -273,9 +234,9 @@ def _pochhammer_order(r):
 
 
 def _gamma_order(r):
-    # q_gamma has order 0 on [1, oo); below 1 it divides by [r + j]_q
-    # for each unit step up to 1: the Pochhammer factors and [r]_q
-    return _pochhammer_order(r) - _factor_order(*_floor_and_order(r), 0)
+    # gamma(r) = P(r - 1) (1 - q)^(1 - r), and the power series has
+    # order 0
+    return _pochhammer_order(r - 1)
 
 
 def _integer_result(out, precision, what):

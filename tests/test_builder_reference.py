@@ -2,15 +2,16 @@
 
 The product routes expand their products as polynomials in the brace,
 the sum routes and q_binomial_series advance their binomials by short
-factors, the Gamma kernel applies the same factors as a Horner nest, and
-pochhammer_at_q divides by exact polynomials.  The references below are the direct algorithms: every
-brace factor a full-length series, every rational sum coefficient an
-exact rational function expanded by series_from_ratfun, every
-irrational sum coefficient a product of full-length [value + n] series
-divided by [k]_q!, every Gamma kernel factor [a-k]/[k+1] a full-length
-series, every Pochhammer divisor the expanded series 1 - q^j {a}_q, and
-Gamma below 1 the series of gamma(a + m) divided by the expanded exact
-product of the rational functions [a + j]_q.
+factors, the Gamma kernel sums one such run, and pochhammer_at_q below 0
+divides that sum by exact polynomials.  The references below are the
+direct algorithms: every brace factor a full-length series, every
+rational sum coefficient an exact rational function expanded by
+series_from_ratfun, every irrational sum coefficient a product of
+full-length [value + n] series divided by [k]_q!, every Gamma kernel
+factor [a-k]/[k+1] a full-length series, every Pochhammer divisor the
+expanded series 1 - q^j {a}_q, and Gamma below 1 the series of
+gamma(a + m) divided by the expanded exact product of the rational
+functions [a + j]_q.
 References whose precision loss has no closed form rebuild at a doubled
 pad until they reach their target.  Whole to_json() outputs must agree,
 exact zeros and precisions included.
@@ -21,7 +22,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qreals import ConvergentSequence, PeriodicContinuedFraction, _cache
 from qreals.errors import DomainError, InsufficientPrecisionError
@@ -277,9 +278,15 @@ def test_gamma_kernel_matches_full_length_factors(a, precision):
     assert _kernel_series(a, precision).to_json() == want.to_json()
 
 
+# descents of up to 3 factors among the rationals in [-3, 3), and of 5
+# to 8 below -4
 @settings(max_examples=150, deadline=None)
-@given(rationals().filter(lambda r: r >= 0 or r.denominator > 1),
-       precisions)
+@given(st.one_of(rationals(), rationals(low=-8, high=-4))
+       .filter(lambda r: r >= 0 or r.denominator > 1),
+       st.integers(min_value=0, max_value=48))
+@example(Fraction(-17, 4), 0)
+@example(Fraction(-61, 10), 1)
+@example(Fraction(1, 2), 0)
 def test_pochhammer_matches_expanded_divisors(r, precision):
     want = reference_pochhammer(r, precision)
     _cache.clear()

@@ -2,9 +2,9 @@
 
 qbench/digests.json holds the sha256 of the stdout of each pool command,
 recorded in a fresh interpreter per command; here each runs in-process
-through cli.main and must exit with its expected code and, on success,
-print exactly those bytes.  The table is only read: it pins the CLI
-output.
+through cli.main, from empty cache tables, and must exit with its
+expected code and, on success, print exactly those bytes.  The table is
+only read: it pins the CLI output.
 """
 
 import contextlib
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from qreals import _cache
 from qreals.cli import main
 
 QBENCH = Path(__file__).resolve().parents[1] / 'qbench'
@@ -34,6 +35,9 @@ DIGESTS = json.loads((QBENCH / 'digests.json').read_text())
 
 
 def _run(argv):
+    # the digests were recorded in a fresh process per command, so each
+    # command starts from empty tables here too
+    _cache.clear()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import qreals.identities as identities
+import qreals.qbinomial as qbinomial
 import qreals.qcore as qcore
 import qreals.qgamma as qgamma
 import qreals.qseries as qseries
@@ -247,19 +248,17 @@ def _kernel_terms(a, precision):
         count += 1
 
 
-@pytest.mark.parametrize('r', GAMMA_ARGS + [Fraction(7, 3), 3])
-def test_gamma_runs_its_binomials_once(monkeypatch, r):
-    # the kernel is built once, and its nest requests each binomial
-    # factor [a - k]_q / [k + 1]_q, k < K - 1, exactly once: no rebuild
-    # and no second pass at a higher precision
-    kernels = []
-    calls = []
-    inner, kernel = qgamma.shift_numerator, qgamma._kernel_series
+def _count_walk(monkeypatch):
+    # every shift-law read, made by binomial_run or by the descent, with
+    # the factors requested from it, and every kernel built with the
+    # reads made inside it; from cold tables
+    reads, kernels = [], []
+    inner, kernel = qbinomial.shift_numerator, qgamma._kernel_series
 
-    def counting(value):
+    def counting(value, precision=None):
         requested = []
-        calls.append(requested)
-        base, numerator = inner(value)
+        reads.append((value, requested))
+        base, numerator = inner(value, precision)
 
         def counted(t):
             requested.append(t)
@@ -267,36 +266,56 @@ def test_gamma_runs_its_binomials_once(monkeypatch, r):
         return base, counted
 
     def marked(a, precision):
-        start = len(calls)
+        start = len(reads)
         out = kernel(a, precision)
-        kernels.append((a, precision, calls[start:]))
+        kernels.append((a, precision, reads[start:]))
         return out
+    monkeypatch.setattr(qbinomial, 'shift_numerator', counting)
     monkeypatch.setattr(qgamma, 'shift_numerator', counting)
     monkeypatch.setattr(qgamma, '_kernel_series', marked)
-    # a cached kernel would request no factor at all
     _cache.clear()
-    q_gamma(r, P)
-    [(a, precision, [requested])] = kernels
+    return reads, kernels
+
+
+def _assert_one_walk(reads, kernels, value):
+    # the Pochhammer product at value is one kernel at value + m, whose
+    # run requests each binomial factor [a - k]_q / [k + 1]_q, k < K - 1,
+    # once and in order, then for value < 0 the descent's m factors
+    # 1 - q^j {value}_q, j = 1..m, once and in order: no rebuild and no
+    # second pass at a higher precision
+    m = max(0, math.ceil(-value))
+    [(a, precision, run)] = kernels
+    assert a == value + m
     terms = _kernel_terms(a, precision)
-    assert terms >= 2
-    assert sorted(requested) == list(range(2 - terms, 1))
+    assert run == ([(a, list(range(0, 1 - terms, -1)))] if terms > 1
+                   else [])
+    assert reads == run + ([(value, list(range(1, m + 1)))] if m else [])
+    return terms
+
+
+@pytest.mark.parametrize('r', GAMMA_ARGS + [Fraction(7, 3), 3])
+def test_gamma_runs_its_binomials_once(monkeypatch, r):
+    reads, kernels = _count_walk(monkeypatch)
+    q_gamma(r, P)
+    # gamma(r) = P(r - 1) (1 - q)^(1 - r)
+    assert _assert_one_walk(reads, kernels, Fraction(r) - 1) >= 2
 
 
 @pytest.mark.parametrize('r', VALUES + GAMMA_ARGS + [0, 3])
 def test_pochhammer_builds_each_factor_once(monkeypatch, r):
-    requested = []
-    inner = qgamma.shift_numerator
-
-    def counting(value):
-        den, numerator = inner(value)
-
-        def counted(t):
-            requested.append(t)
-            return numerator(t)
-        return den, counted
-    monkeypatch.setattr(qgamma, 'shift_numerator', counting)
-    _cache.clear()
+    reads, kernels = _count_walk(monkeypatch)
     pochhammer_at_q(r, P)
-    factors = [t for t in requested if t]
-    assert factors
-    assert factors == list(range(1, len(factors) + 1))
+    _assert_one_walk(reads, kernels, Fraction(r))
+
+
+@pytest.mark.parametrize('r', [Fraction(1, 2), Fraction(1, 3),
+                               Fraction(5, 7), Fraction(-1, 2),
+                               Fraction(-2, 3), Fraction(-1, 7)], ids=str)
+def test_gamma_reads_each_shift_law_once(monkeypatch, r):
+    # gamma on (0, 1) and (-1, 0) reads the shift law of its kernel's
+    # argument and of the descent's, each once
+    reads, _ = _count_walk(monkeypatch)
+    q_gamma(r, 32)
+    values = [value for value, _ in reads]
+    assert len(values) == 2
+    assert len(set(values)) == len(values)

@@ -11,7 +11,8 @@ import qreals
 import qreals.qgamma as qgamma
 from qreals import _cache
 from qreals import (DEFAULT_PRECISION, DomainError, IntegralityError,
-                    order_at_zero, q_binomial, q_factorial, q_rational)
+                    order_at_zero, q_binomial, q_brace, q_factorial,
+                    q_rational)
 from qreals.qgamma import (
     gamma_convergence_report,
     gamma_power,
@@ -170,11 +171,17 @@ def test_pochhammer_binomial_form():
 
 
 def test_gamma_product_route():
-    # the definition as an infinite product over the kernel-sum route
+    # gamma(a) = P(a - 1) (1 - q)^(1 - a) with the Pochhammer product
+    # expanded factor by factor, every divisor 1 - q^j {a - 1}_q a
+    # full-length series: independent of the binomial walk of q_gamma
     for alpha in (Fraction(3, 2), Fraction(2, 3), Fraction(7, 3)):
         w = 18
-        via_product = (pochhammer_at_q(alpha - 1, w)
-                       * scalar_binomial_series(alpha, w))
+        brace = series_from_ratfun(q_brace(alpha - 1), w)
+        product = LaurentSeries.one().truncate(w)
+        for j in range(1, w + 1):
+            product = (product * (1 - LaurentSeries.q_power(j))
+                       / (1 - brace.shift(j)))
+        via_product = product * scalar_binomial_series(alpha, w)
         assert via_product.agrees_with(q_gamma(alpha, 14), 14), alpha
 
 
