@@ -7,9 +7,9 @@ regular continued fraction [a1, a2, ..., a_2m]:
 
 where [a]_q = 1 + q + ... + q^(a-1), and [a]_q' denotes [a] evaluated at
 1/q, i.e. q^-(a-1) [a]_q.  Odd levels contribute bridges q^+a, even
-levels q^-a.  Rationals r <= 1 are reached through the shift law
-[r + n]_q = [n]_q + q^n [r]_q, applied with the smallest n making the
-argument land in (1, 2].
+levels q^-a.  Every rational r = m + f, with m = floor(r), is computed
+from one tower, that of 2 + f, through the shift law
+[f + m]_q = [m]_q + q^m [f]_q.
 
 A real number is handled through a sequence of rational approximations:
 the Taylor coefficients of the approximants' deformations stabilize, and
@@ -24,11 +24,11 @@ Every rational takes one path.  The tower is a product of 2x2 matrices
 of polynomials, one per level, each with determinant -q^a (Morier-Genoud
 and Ovsienko, "q-deformed rationals and q-continued fractions", Forum
 Math. Sigma 8, 2020), so the numerator and denominator it yields share
-no factor but a power of q and no gcd is taken.  The canonical
-QRationalFunction is cached; a series is its expansion.  The degrees
-grow with the sum of the partial quotients, not with the size of the
-fraction, so deep convergents (Pell numerators grow exponentially) stay
-cheap.
+no factor but a power of q and no gcd is taken.  Only f's shift law is
+cached, and [f + m]_q is read off it for every m; a series is the
+expansion.  The degrees grow with the sum of the partial quotients, not
+with the size of the fraction, so deep convergents (Pell numerators
+grow exponentially) stay cheap.
 """
 
 import itertools
@@ -40,7 +40,7 @@ from fractions import Fraction
 from . import _cache
 from .errors import DomainError, NonConvergenceError
 from .polynomial import IntPolynomial
-from .ratfun import QRationalFunction, ratfun
+from .ratfun import ratfun
 from .series import LaurentSeries, series_from_ratfun
 
 DEFAULT_PRECISION = 32
@@ -55,9 +55,7 @@ def _qint_poly(n):
 
 def q_integer(n):
     """[n]_q = (1 - q^n)/(1 - q) as a rational function, any integer n."""
-    if n >= 0:
-        return QRationalFunction.from_polynomial(_qint_poly(n))
-    return ratfun(n, -_qint_poly(-n), 1, reduced=True)
+    return q_rational(n)
 
 
 class _Record:
@@ -113,19 +111,15 @@ class ContinuedFraction(_Record):
         r = Fraction(r)
         if r <= 1:
             raise DomainError(f'continued fractions here require value > 1, got {r}')
-        num, den = r.numerator, r.denominator
-        terms = []
+        num, den, terms = r.numerator, r.denominator, []
         while den:
             a, rem = divmod(num, den)
             terms.append(a)
             num, den = den, rem
+        # the last quotient is at least 2, since r > 1 is in lowest terms
         if len(terms) % 2:
-            if terms[-1] > 1:
-                terms[-1] -= 1
-                terms.append(1)
-            else:
-                terms.pop()
-                terms[-1] += 1
+            terms[-1] -= 1
+            terms.append(1)
         return cls(terms)
 
     def value(self):
@@ -177,24 +171,30 @@ def _tower(terms):
     return num, den
 
 
-# Bounded well above what the workloads keep: 901 entries after 6 002
-# identity-exact cases, 315 after 1 530 identity-series cases (seed 7),
-# deep convergents of the irrational inputs included.
+# Keyed on the fractional part alone, so bounded well above what the
+# workloads keep: 46 entries, every fractional part of denominator at
+# most 12, after 36 000 identity-exact or 13 000 identity-series cases
+# (seed 13).
 @_cache.table(4096)
 def _q_rational_cached(num, den):
-    # the shift law [r]_q = q^-m ([r + m]_q - [m]_q), with the smallest
-    # m >= 0 that puts r + m in (1, 2] when r <= 1; N - [m]D shares with D
-    # only what N does, so no gcd is taken
-    m = max(0, (2 * den - num) // den)
+    """(D, C) of _shift_law for the fractional part f = num/den, 0 <= num
+    < den, whose lo is 0: [f]_q has order ceil(den/num) - 1 > 0, and
+    [0]_q = 0 has order 0."""
+    # [f]_q = q^-2 ([f + 2]_q - [2]_q); N - [2]D shares with D only what
+    # N does, so no gcd is taken
     n, d = _tower(ContinuedFraction.from_rational(
-        Fraction(num + m * den, den)).terms)
-    return ratfun(-m, n - _times_qint(d, m), d, reduced=True)
+        Fraction(num, den) + 2).terms)
+    f = ratfun(-2, n - _times_qint(d, 2), d, reduced=True)
+    return f.den, f.num.shift(f.e) - f.num.shift(f.e + 1) - f.den
 
 
 def q_rational(r):
     """[r]_q as a canonical rational function, for any rational r."""
-    r = Fraction(r)
-    return _q_rational_cached(r.numerator, r.denominator)
+    # [r]_q = q^lo h_0 / D with h_0 = (C + q^-lo D)/(1 - q), an exact
+    # quotient: the running sum of the coefficients of C + q^-lo D
+    lo, den, c = _shift_law(r)
+    return ratfun(lo, IntPolynomial(itertools.accumulate(
+        (c + den.shift(-lo)).coeffs)), den, reduced=True)
 
 
 def q_rational_series(r, precision):
@@ -211,11 +211,21 @@ def _shift_law(r):
     C = (1 - q) q^(e - lo) N - q^(-lo) D.  This is the shift law
     [r + t]_q = [t]_q + q^t [r]_q, with (1 - q)[t]_q = 1 - q^t; at t = 0
     it reads {r}_q = -q^lo C / D.
+
+    So r = f + m, with m = floor(r), has the D of its fractional part f,
+    whose lo is 0, and q^m C of f: lo is m when m < 0, and 0 otherwise
+    with the q^m moved into C.  Only f's law is kept
+    (_q_rational_cached).
     """
-    rf = q_rational(r)
-    lo = min(0, rf.e)
-    a = rf.num.shift(rf.e - lo)
-    return lo, rf.den, a - a.shift(1) - rf.den.shift(-lo)
+    m, num, den = _split(r)
+    d, c = _q_rational_cached(num, den)
+    return min(0, m), d, c.shift(max(0, m))
+
+
+def _split(r):
+    """(m, num, den) with r = m + num/den, 0 <= num < den, for rational r."""
+    r = Fraction(r)
+    return (*divmod(r.numerator, r.denominator), r.denominator)
 
 
 def q_brace(r):
@@ -410,8 +420,7 @@ def _floor_and_order(value):
     r = _as_rational(value)
     if r is not None:
         # in integers: r = n + f/d, and ceil(d/f) - 1 = (d - 1) // f
-        d = r.denominator
-        n, f = divmod(r.numerator, d)
+        n, f, d = _split(r)
         return n, (d - 1) // f if f else math.inf
     if isinstance(value, PeriodicContinuedFraction):
         terms = value.terms()

@@ -15,12 +15,13 @@ from qreals import (ConvergentSequence, DomainError, IntPolynomial,
                     binomial_order, q_binomial, q_binomial_series, q_brace,
                     q_factorial, q_integer, q_pochhammer, q_rational,
                     q_real_series, ratfun, series_from_ratfun)
-from qreals.qbinomial import (_cyclotomic, _has_cyclotomic_factor,
-                              _shift_factors)
-from qreals.qcore import _factor_order, _floor_and_order, _shift_law
+from qreals.qbinomial import (_cyclotomic, _cyclotomic_class,
+                              _fraction_factors, _has_cyclotomic_factor)
+from qreals.qcore import _factor_order, _floor_and_order, _shift_law, _split
 
 # the package exports the function ratfun under the module's name
 ratfun_module = importlib.import_module('qreals.ratfun')
+qbinomial_module = importlib.import_module('qreals.qbinomial')
 rationals = st.fractions(min_value=-30, max_value=30,
                          max_denominator=9)
 
@@ -152,20 +153,28 @@ def _divides(divisor, p):
        st.integers(min_value=1, max_value=15),
        st.integers(min_value=2, max_value=16))
 def test_cyclotomic_factors_of_the_numerators_form_one_class(p, s, d):
-    # the j with Phi_d | h_j are none or one residue class mod d, checked
-    # by exact division over three periods (a vanishing h_j, at an
-    # integer 0 <= r < 3d, is divisible and must be in the class)
-    _, _, factors = _shift_factors(Fraction(p, s), 3 * d)
+    # the j with Phi_d | g_(j - m), for r = p/s = f + m, are none or one
+    # residue class mod d, checked by exact division over three periods
+    # (a vanishing numerator, at an integer 0 <= r < 3d, is divisible and
+    # must be in the class), and the class table names that class
+    m, num, den = _split(Fraction(p, s))
+    factors = _fraction_factors(num, den, m, 3 * d)
     hits = [j for j, h in enumerate(factors) if _divides(_cyclotomic(d), h)]
     assert hits == [] or hits == list(range(hits[0] % d, 3 * d, d))
     assert hits == [j for j, h in enumerate(factors)
                     if _has_cyclotomic_factor(h, d)]
+    first = _cyclotomic_class(num, den, d)
+    assert hits == ([] if first is None
+                    else list(range((first + m) % d, 3 * d, d)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.fractions(min_value=-40, max_value=40, max_denominator=40),
-       st.integers(min_value=-1, max_value=14))
+@given(st.one_of(
+    st.fractions(min_value=-40, max_value=40, max_denominator=40),
+    st.integers(min_value=-40, max_value=40)),
+    st.integers(min_value=-1, max_value=14))
 def test_class_cancellation_matches_greedy_trial_division(r, k):
+    # integers take the Gaussian path, the others the class table
     assert q_binomial(r, k).to_json() == _greedy_binomial(r, k).to_json()
 
 
@@ -173,6 +182,45 @@ def test_class_cancellation_matches_greedy_trial_division(r, k):
 @pytest.mark.parametrize('k', [41, 60])
 def test_class_cancellation_matches_greedy_trial_division_at_large_k(r, k):
     assert q_binomial(r, k).to_json() == _greedy_binomial(r, k).to_json()
+
+
+@pytest.mark.parametrize('f', [Fraction(1, 2), Fraction(5, 7),
+                               Fraction(9, 11)], ids=str)
+def test_one_law_per_fractional_part(monkeypatch, f):
+    # every f + m reads the one entry of its fractional part, and a
+    # further binomial of f finds each cyclotomic class in the table
+    calls = []
+    inner = qbinomial_module._has_cyclotomic_factor
+
+    def counted(p, d):
+        calls.append(d)
+        return inner(p, d)
+    monkeypatch.setattr(qbinomial_module, '_has_cyclotomic_factor', counted)
+    _cache.clear()
+    for m in range(-40, 41):
+        q_binomial(f + m, 6)
+        q_rational(f + m)
+        q_brace(f + m)
+    assert _cache.info()['qreals.qcore._q_rational_cached'].currsize == 1
+    assert calls
+    calls.clear()
+    assert q_binomial(f + 57, 6) == _reference_binomial(f + 57, 6)
+    assert calls == []
+
+
+@pytest.mark.parametrize('n, k', [(30, 15), (200, 3), (-30, 7), (-1, 5),
+                                  (-1, 0), (5, 5), (0, 0), (3, 4),
+                                  (60, 58)])
+def test_gaussian_binomials_match_the_falling_factorial(n, k):
+    assert q_binomial(n, k) == _reference_binomial(n, k)
+
+
+def test_integer_binomials_use_no_table():
+    _cache.clear()
+    for n in range(-12, 13):
+        for k in range(8):
+            q_binomial(n, k)
+    assert all(info.currsize == 0 for info in _cache.info().values())
 
 
 def test_gaussian_symmetry():

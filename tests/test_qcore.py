@@ -103,14 +103,21 @@ def test_q_rational_frozen_values(r, expected):
     assert q_rational(r) == expected
 
 
+def _q_integer_closed(n):
+    # (1 - q^n)/(1 - q), reduced by a gcd; q_integer is q_rational at an
+    # integer, so both are checked against this
+    one_minus = P(1, *[0] * (abs(n) - 1), -1) if n else P()
+    return ratfun(min(n, 0), one_minus if n >= 0 else -one_minus, P(1, -1))
+
+
 def test_q_rational_accepts_ints():
-    assert q_rational(3) == q_integer(3)
-    assert q_rational(-2) == q_integer(-2)
+    assert q_rational(3) == _q_integer_closed(3) == RF(0, (1, 1, 1))
+    assert q_rational(-2) == _q_integer_closed(-2) == RF(-2, (-1, -1))
 
 
 @given(st.integers(min_value=-12, max_value=12))
 def test_q_rational_matches_q_integer(n):
-    assert q_rational(Fraction(n)) == q_integer(n)
+    assert q_rational(Fraction(n)) == q_integer(n) == _q_integer_closed(n)
 
 
 @given(fractions_any, st.integers(min_value=1, max_value=4))
@@ -184,7 +191,7 @@ def _tower_exact(terms):
     for i in range(len(terms) - 2, -1, -1):
         a = terms[i]
         if i % 2 == 0:
-            acc = q_integer(a) + QRationalFunction.q_power(a) / acc
+            acc = _q_integer_closed(a) + QRationalFunction.q_power(a) / acc
         else:
             acc = _qint_inverse(a) + QRationalFunction.q_power(-a) / acc
     return acc
@@ -211,7 +218,7 @@ def _shift(r):
 def _reference_exact(r):
     m = _shift(r)
     up = _tower_exact(ContinuedFraction.from_rational(r + m).terms)
-    return (up - q_integer(m)) * QRationalFunction.q_power(-m)
+    return (up - _q_integer_closed(m)) * QRationalFunction.q_power(-m)
 
 
 def _reference_series(r, precision):
@@ -251,6 +258,27 @@ def test_tower_matches_both_references_on_rationals(r, precision):
     s = q_rational_series(r, precision)
     assert s.agrees_with(_reference_series(r, precision), precision), r
     assert s.precision >= precision
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fractions(min_value=0, max_value=1, max_denominator=13).filter(
+    lambda f: f < 1), st.integers(min_value=-1000, max_value=1000))
+@example(Fraction(1, 2), -1000)
+@example(Fraction(5, 7), -4)
+@example(Fraction(0), -1000)
+@example(Fraction(3, 8), 1000)
+def test_q_rational_reads_the_law_of_its_fractional_part(f, m):
+    # [f + m]_q = [m]_q + q^m [f]_q as a sum of rational functions, far
+    # below and above 0, against references built without the law
+    expected = (_q_integer_closed(m)
+                + QRationalFunction.q_power(m) * _reference_exact(f))
+    assert q_rational(f + m) == expected
+    # the law of f + m is that of f with q^m in the power of q, lo <= 0
+    lo, den, c = qcore._shift_law(f + m)
+    lo_f, den_f, c_f = qcore._shift_law(f)
+    assert (lo, den) == (min(0, m), den_f) and lo_f == 0
+    assert c == c_f.shift(max(0, m))
+    assert q_brace(f + m) == 1 + RF(1, (1,), (1,)) * expected - expected
 
 
 def _even_terms(terms):

@@ -394,6 +394,7 @@ def test_clear_empties_every_registered_table():
     gamma_power(1, 2, 8)
     pochhammer_at_q(Fraction(1, 3), 8)
     assert {'qreals.qcore._q_rational_cached', 'qreals.qbinomial._cyclotomic',
+            'qreals.qbinomial._cyclotomic_class',
             'qreals.qgamma._gamma_table', 'qreals.qgamma._reflection_table',
             'qreals.qgamma._power_table', 'qreals.qgamma._pochhammer_product',
             'qreals.qseries._product_table'} <= set(_cache.info())

@@ -293,7 +293,7 @@ def test_a_sum_over_a_shared_denominator_takes_one_gcd(monkeypatch):
     assert len(calls) == 3
 
 
-def test_identity_exact_panel_takes_at_most_7464_gcds_and_18610_products():
+def test_identity_exact_panel_takes_at_most_6808_gcds_and_17079_products():
     # the traced identity-exact benchmark panel: the first 1 000 cases of
     # seed 7 in a fresh interpreter.  The tracer counts calls to the
     # public poly_gcd, while the rational functions reach the gcd through
@@ -329,5 +329,5 @@ def test_identity_exact_panel_takes_at_most_7464_gcds_and_18610_products():
     assert done.returncode == 0, done.stderr.decode()
     ok, calls, products = done.stdout.decode().split()
     assert ok == 'True'
-    assert 0 < int(calls) <= 7464
-    assert 0 < int(products) <= 18610
+    assert 0 < int(calls) <= 6808
+    assert 0 < int(products) <= 17079
