@@ -402,6 +402,11 @@ def main(argv=None):
     except DomainError as err:
         print(f'domain error: {err}', file=sys.stderr)
         return EXIT_DOMAIN
+    except OverflowError as err:
+        # a size past what a list or tuple can index, say the degree of
+        # binom(10^20, 2)_q
+        print(f'domain error: too large to build ({err})', file=sys.stderr)
+        return EXIT_DOMAIN
     except (NonConvergenceError, InsufficientPrecisionError) as err:
         print(f'did not converge: {err}', file=sys.stderr)
         return EXIT_NONCONVERGENCE

@@ -63,13 +63,14 @@ over the coefficients; the cyclotomic product itself would need a Phi_d
 for every d <= n.  For n = -p < 0, [-p - j]_q = -q^(-p - j) [p + j]_q
 gives binom(-p, k)_q = (-1)^k q^(-kp - C(k, 2)) binom(p + k - 1, k)_q.
 
-As series, the binomials of any upper index come from one run of short
-factors.  One step of binom(x, k) -> binom(x, k+1) multiplies by the
-numerator at t = -k and divides once by D(1 - q^(k+1)), in one
-LaurentSeries.times_ratio: O(N (deg N + deg D)) for N known
-coefficients, and no exact rational function or gcd is formed.  Both
-factor polynomials are offset sums of the integer coefficients of D and
-C.
+As series, the binomials of any upper index come from one run that
+reads one series {x}_q.  By the brace form of the shift law, (1 - q)
+[x + t]_q = 1 - q^t {x}_q, so one step of binom(x, k) -> binom(x, k+1)
+multiplies by (1 - q^(-k) {x}_q) / (1 - q^(k+1)): one product of the
+run with {x}_q, one Kronecker product for N ~ 40 known coefficients,
+then a running sum of stride k + 1 for the division.  No exact rational
+function, gcd or division by D is formed in the run; for rational x,
+{x}_q is one expansion of q_brace(x).
 """
 
 import itertools
@@ -78,11 +79,10 @@ import math
 from . import _cache
 from .errors import DomainError, InsufficientPrecisionError
 from .polynomial import IntPolynomial, _quotient
-from .qcore import (DEFAULT_PRECISION, _as_rational, _factor_order,
-                    _floor_and_order, _q_rational_cached, _shift_law, _split,
-                    q_brace_series)
+from .qcore import (DEFAULT_PRECISION, _factor_order, _floor_and_order,
+                    _q_rational_cached, _shift_law, _split, q_brace_series)
 from .ratfun import QRationalFunction, ratfun
-from .series import LaurentSeries, _canonical
+from .series import LaurentSeries, _canonical, _times_brace_factor
 
 
 def q_factorial(n):
@@ -210,30 +210,16 @@ def _product_tree(factors):
     return factors[0] if factors else IntPolynomial.one()
 
 
-def shift_numerator(value, precision=None):
-    """The numerators of the shift law for [x + t]_q and for [s]_q.
+def shift_numerator(r):
+    """t -> f(t) = (1 - q) D [r + t]_q = D + q^(lo + t) C for a rational r.
 
-    Returns (g, f) with (1 - q) D [s]_q = g(s) = D - q^s D and
-    (1 - q) D [x + t]_q = f(t) = D + q^(lo + t) C for all integers s and
-    t (module docstring), so every ratio [x + t]_q / [s]_q is f(t) /
-    g(s).  g(s) is exact.  For rational x, f(t) is exact too
-    (_shift_law), and both are offset sums of integer coefficients.  For
-    irrational x, D is 1 and q^lo C = -{x}_q is read once, to
-    `precision`, so f(t) is known below q^(precision + t).
+    The shift law of the module docstring with D and C exact
+    (_shift_law): every f(t) is an exact offset sum of their integer
+    coefficients.
     """
-    r = _as_rational(value)
-    if r is None:
-        top = -q_brace_series(value, precision)
-        return _q_integer_numerator((1,)), lambda t: top.shift(t) + 1
     lo, den, c = _shift_law(r)
     d, c = den.coeffs, c.coeffs
-    return _q_integer_numerator(d), lambda t: _offset_sum(d, c, lo + t)
-
-
-def _q_integer_numerator(d):
-    # s -> D - q^s D for D with int coefficients d
-    minus_d = tuple([-x for x in d])
-    return lambda s: _offset_sum(d, minus_d, s)
+    return lambda t: _offset_sum(d, c, lo + t)
 
 
 def _offset_sum(a, b, s):
@@ -256,19 +242,19 @@ def binomial_run(value, shifts, precision, sign=-1):
     once no remaining binomial shows below q^precision the run stops, and
     the rest are zero series known to their orders.
 
-    Step k multiplies by [x + sign k]_q / [k+1]_q as f(sign k) / g(k + 1)
-    (shift_numerator), one division by D(1 - q^(k+1)) in one
-    LaurentSeries.times_ratio, and the orders of these factors come
-    from the floor of x and the order of its fractional part.  A binomial
-    known to w beyond its order keeps that w through an exact factor, and
-    w is cut before every step to what the remaining binomials need.  For
-    irrational x, f(t) is known to P + t - ord [x + t]_q beyond its order
-    when [x]_q is read to P, and a product keeps the smaller of its
-    factors' (series.py: mul is min(p1 + ord2, p2 + ord1)), so [x]_q is
-    read once, to the largest w + ord [x + t]_q - t of the steps taken.
-    A binomial that still falls short raises InsufficientPrecisionError;
-    with the exact orders of rationals and periodic continued fractions
-    none does.
+    Step k multiplies by [x + t]_q / [k+1]_q, t = sign k, which the brace
+    form of the shift law writes (1 - q^t {x}_q) / (1 - q^(k+1)): one
+    product of the run with {x}_q and one running sum of stride k + 1
+    (series._times_brace_factor).  The orders of the factors come from
+    the floor of x and the order of its fractional part.  A binomial
+    known to w beyond its order keeps that w through the step, and w is
+    cut to what the remaining binomials need.  The product keeps the
+    smaller of its factors' precisions (series.py: mul is min(p1 + ord2,
+    p2 + ord1)), so {x}_q is read once, to the largest
+    w + ord [x + t]_q - t of the steps taken.  Each step is known to its order plus its w only if that order
+    is the one the factors' orders give, and a step whose order is another
+    raises InsufficientPrecisionError; with the exact orders of rationals
+    and periodic continued fractions none does.
     """
     n, b = _floor_and_order(value)
     steps = [_factor_order(n, b, sign * k) for k in range(len(shifts) - 1)]
@@ -282,16 +268,15 @@ def binomial_run(value, shifts, precision, sign=-1):
     run = LaurentSeries.one().truncate(works[0])
     out = [run]
     if taken:
-        base, numerator = shift_numerator(
-            value, max(works[k + 1] + steps[k] - sign * k
-                       for k in range(taken)))
+        brace = q_brace_series(value, max(works[k + 1] + steps[k] - sign * k
+                                          for k in range(taken)))
     for k in range(taken):
-        run = run.truncate(run.precision - works[k] + works[k + 1])
-        run = run.times_ratio(numerator(sign * k), base(k + 1))
-        if run.precision < precision - shifts[k + 1]:
+        run = _times_brace_factor(run, brace, sign * k, k + 1,
+                                  orders[k + 1] + works[k + 1])
+        if run.order != orders[k + 1]:
             raise InsufficientPrecisionError(
-                f'binomial {k + 1} of {value} reached precision '
-                f'{run.precision}, not {precision - shifts[k + 1]}')
+                f'binomial {k + 1} of {value} has order {run.order}, not '
+                f'the {orders[k + 1]} of its factors')
         out.append(run)
     return out + [LaurentSeries.zero(o) for o in orders[len(out):]]
 

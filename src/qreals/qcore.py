@@ -382,8 +382,15 @@ def q_real_series(value, precision=DEFAULT_PRECISION):
 
 
 def q_brace_series(value, precision=DEFAULT_PRECISION):
-    """{x}_q = 1 + (q - 1)[x]_q for a real x, as a stabilized series."""
-    return 1 + _Q_MINUS_ONE * q_real_series(value, precision)
+    """{x}_q = 1 + (q - 1)[x]_q for a real x, as a stabilized series.
+
+    A rational's brace is one expansion of q_brace; {0}_q is the exact 1.
+    """
+    r = _as_rational(value)
+    if r is None:
+        return 1 + _Q_MINUS_ONE * q_real_series(value, precision)
+    return series_from_ratfun(q_brace(r), precision) if r else \
+        LaurentSeries.one()
 
 
 def order_at_zero(value):

@@ -172,7 +172,7 @@ def _pochhammer_product(r, precision):
     m = math.ceil(-r)
     out = _pochhammer_product(
         r + m, precision + max(0, -_pochhammer_order(r)))
-    _, numerator = shift_numerator(r)
+    numerator = shift_numerator(r)
     den = LaurentSeries.from_polynomial(q_rational(r).den)
     for j in range(1, m + 1):
         out = out.times_ratio(den, numerator(j))

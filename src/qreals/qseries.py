@@ -26,9 +26,9 @@ product is then a polynomial in y of degree xdeg per power of x, and
 {a}_q is substituted once at the end through its first xdeg powers; one
 code path serves rational and irrational braces.  The sum routes
 advance binom(a, k) -> binom(a, k+1) (or binom(a+k-1, k) ->
-binom(a+k, k+1)) by the short factors of qbinomial.binomial_run, one
-run for every a: exact for rational a, and built from one series for
-[a]_q for irrational a.
+binom(a+k, k+1)) by the factors of qbinomial.binomial_run, one run
+for every a, each step one product with one series {a}_q, read once,
+and a running sum.
 
 Precision policy: the series and product builders return exactly the
 q-precision they are given, sized up front.  With d = max(0, -ord {a}_q),
@@ -36,8 +36,8 @@ the product routes need the x^k y^m coefficient to precision + m d, and
 the brace to precision + (xdeg - 1) d, since its m-th power loses
 (m - 1) d; d comes from floor(a), so the brace is expanded once.  The
 sum routes get one binomial_run, sized from the closed-form orders of
-the binomials' factors, which for irrational a also size its single
-read of [a]_q; binomials that vanish (integer a) stay exact zeros.  A
+the binomials' factors, which also size its single read of {a}_q;
+binomials that vanish (integer a) stay exact zeros.  A
 result that still falls short raises InsufficientPrecisionError;
 nothing is retried.
 """

@@ -40,8 +40,8 @@ division of two exact series unless the divisor is a monomial, since the
 quotient would in general need infinitely many terms; truncate() an
 operand first.  times_ratio is the composition of mul and div, and
 refuses what div refuses; it runs one multiply and one division on the
-raw product and forms one canonical series at the end, and the builders
-apply their exact shift-law factors with it.
+raw product and forms one canonical series at the end, and the Gamma
+descent applies its exact shift-law factors with it.
 
 Multiplication works on the numerators, over the product of the
 denominators.  An exact one-term factor c q^e / d is a shift by e and a
@@ -51,10 +51,14 @@ one Kronecker product (polynomial's module docstring) when both
 operands have more than one nonzero term and the product of their
 nonzero counts reaches polynomial.KRONECKER_SIZE: the operands are
 packed at q = 2^k, k one more than the bit length of |a|_inf |b|_inf
-min(len a, len b), and only the low n balanced digits of the integer
-product are read back, from its residue mod 2^(k n), since a series
-product keeps only its first n terms.  Sparse and small products
-convolve, skipping zero coefficients.
+min(len a, len b) and rounded up to 8, 16, 32 or 64 bits when it is at
+most 64, and only the low n balanced digits of the integer product are
+read back, from its residue mod 2^(k n), since a series product keeps
+only its first n terms; at a word width the digits are read in C
+(polynomial._kronecker).  Sparse and small products convolve, skipping
+zero coefficients.  _times_brace_factor is the step of a binomial run:
+x (1 - q^s brace) / (1 - q^m) as one _multiply into an integer window
+and running sums of stride m.
 
 Division runs the quotient recurrence in int; a divisor lead other than
 +-1 puts powers of the lead in the common denominator.
@@ -77,12 +81,14 @@ so an identity checker runs the side it compares on shapes of those
 orders first, and the precision they lose is its pad.
 """
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import InsufficientPrecisionError
-from .polynomial import (KRONECKER_SIZE, IntPolynomial, _low_digits,
-                         _pack, _power, _unpack, format_terms)
+from .polynomial import (KRONECKER_SIZE, IntPolynomial, _kronecker, _power,
+                         format_terms)
 
 
 class LaurentSeries:
@@ -491,6 +497,30 @@ def _canonical(order, nums, den, precision):
     return LaurentSeries(order + lo, nums, den, precision)
 
 
+def _times_brace_factor(x, brace, s, m, precision):
+    """x (1 - q^s brace) / (1 - q^m) below q^precision, for m >= 1.
+
+    One _multiply of the numerators into one integer window, from the
+    lower of the orders of x and q^s x brace, then the division by
+    1 - q^m as running sums of stride m.  The caller vouches that the
+    result is known below q^precision: qbinomial.binomial_run sizes it
+    from the factors' orders and checks the order it gets.
+    """
+    o, ob, db = x._order, x._order + s + brace._order, brace._den
+    lo = min(o, ob)
+    size = precision - lo
+    acc = [0] * size
+    top = x._nums[:max(0, precision - o)]
+    acc[o - lo:o - lo + len(top)] = top if db == 1 else [c * db for c in top]
+    n = precision - ob
+    if n > 0:
+        acc[ob - lo:] = map(operator.sub, acc[ob - lo:],
+                            _multiply(x._nums[:n], brace._nums[:n], n))
+    for j in range(min(m, size - m)):
+        acc[j::m] = itertools.accumulate(acc[j::m])
+    return _canonical(lo, acc, x._den * db, precision)
+
+
 def _multiply(a, b, n):
     """The first n coefficients of a * b, for int sequences a and b.
 
@@ -501,10 +531,7 @@ def _multiply(a, b, n):
     """
     nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
     if nnz_a > 1 and nnz_b > 1 and nnz_a * nnz_b >= KRONECKER_SIZE:
-        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-        k = bound.bit_length() + 1
-        out = _unpack(_low_digits(_pack(a, k) * _pack(b, k), k, n), k)
-        return out + [0] * (n - len(out))
+        return _kronecker(a, b, n)
     acc = [0] * n
     nonzero_b = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):

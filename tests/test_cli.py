@@ -111,6 +111,19 @@ def test_binom_large_k(capsys):
     assert out.startswith('binom(5/3, 60)_q = ')
 
 
+@pytest.mark.parametrize('argv', [
+    ['binom', '100000000000000000000', '2'],
+    ['binom', '--', '-100000000000000000000', '2'],
+    ['binom', '100000000000000000000/3', '2']])
+def test_binom_too_large_to_build_is_domain_error(capsys, argv):
+    # the degrees pass what a list can index: one line and exit 2, where
+    # an OverflowError traceback used to end the command
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ''
+    assert err.startswith('domain error: too large to build')
+    assert len(err.splitlines()) == 1
+
+
 def test_brace_half(capsys):
     code, out, _ = run(capsys, 'brace', '1/2')
     assert code == 0

@@ -510,3 +510,70 @@ def test_pack_unpack_split_long_inputs(coeffs, k, n):
     while small and not small[-1]:
         small.pop()
     assert polynomial._unpack(polynomial._pack(small, k), k) == small
+
+
+# ---------------------------------------------------------------------------
+# machine-word digits: the packed products round k up to 8, 16, 32 or 64
+
+WORD_WIDTHS = (8, 16, 32, 64)
+
+
+@st.composite
+def digit_runs(draw):
+    """A width k, at a machine word, between words or above 64, and
+    digits below 2^(k-1) in size: the extremes +-(2^(k-1) - 1), small
+    values of either sign, and trailing zeros."""
+    k = draw(st.one_of(st.sampled_from(WORD_WIDTHS + (65, 96, 128)),
+                       st.integers(min_value=2, max_value=130)))
+    top = (1 << (k - 1)) - 1
+    digits = draw(st.lists(st.one_of(
+        st.sampled_from([top, -top, 1, -1, 0]),
+        st.integers(min_value=-top, max_value=top)), max_size=80))
+    return k, digits + [0] * draw(st.integers(min_value=0, max_value=3))
+
+
+@given(digit_runs(), st.integers(min_value=0, max_value=90))
+def test_word_digits_round_trip(run, m):
+    k, digits = run
+    n = polynomial._pack(digits, k)
+    assert n == sum(d << (k * i) for i, d in enumerate(digits))
+    stripped = list(digits)
+    while stripped and not stripped[-1]:
+        stripped.pop()
+    assert polynomial._unpack(n, k) == stripped
+    low = stripped[:m]
+    while low and not low[-1]:
+        low.pop()
+    assert polynomial._unpack(polynomial._low_digits(n, k, m), k) == low
+    if k in WORD_WIDTHS:
+        assert polynomial._words(n, k, m) == \
+            digits[:m] + [0] * (m - len(digits))
+
+
+@st.composite
+def word_edge_operands(draw):
+    """Two operands whose product needs digits of about 64 bits: k is
+    rounded up to 64 on one side of the edge and kept exact above it.
+    Sizes at the extremes reach the bound |a|_inf |b|_inf min(la, lb)."""
+    la = draw(st.integers(min_value=2, max_value=40))
+    lb = draw(st.integers(min_value=2, max_value=40))
+    total = draw(st.integers(min_value=56, max_value=72)) - \
+        min(la, lb).bit_length()
+    bits_a = draw(st.integers(min_value=1, max_value=total - 1))
+
+    def operand(length, bits):
+        extreme = st.sampled_from([2 ** bits, -2 ** bits])
+        return draw(st.lists(st.one_of(extreme, st.integers(
+            min_value=-2 ** bits, max_value=2 ** bits)),
+            min_size=length, max_size=length).filter(lambda c: c[-1]))
+    return operand(la, bits_a), operand(lb, total - bits_a)
+
+
+@given(word_edge_operands(), st.integers(min_value=1, max_value=90))
+def test_products_match_schoolbook_on_both_sides_of_64_bits(operands, n):
+    a, b = operands
+    want = schoolbook(a, b)
+    with packing_from(0):
+        assert (P(*a) * P(*b)).coeffs == want
+    full = list(want) + [0] * n
+    assert polynomial._kronecker(a, b, n) == full[:n]

@@ -249,29 +249,35 @@ def _kernel_terms(a, precision):
 
 
 def _count_walk(monkeypatch):
-    # every shift-law read, made by binomial_run or by the descent, with
-    # the factors requested from it, and every kernel built with the
-    # reads made inside it; from cold tables
+    # every read of a brace {x}_q made by binomial_run, with its
+    # precision, every shift-law read made by the descent, with the
+    # factors requested from it, and every kernel built with the reads
+    # made inside it; from cold tables
     reads, kernels = [], []
-    inner, kernel = qbinomial.shift_numerator, qgamma._kernel_series
+    brace, law = qbinomial.q_brace_series, qgamma.shift_numerator
+    kernel = qgamma._kernel_series
 
-    def counting(value, precision=None):
+    def read_brace(value, precision):
+        reads.append(('brace', value, precision))
+        return brace(value, precision)
+
+    def read_law(value):
         requested = []
-        reads.append((value, requested))
-        base, numerator = inner(value, precision)
+        reads.append(('law', value, requested))
+        numerator = law(value)
 
         def counted(t):
             requested.append(t)
             return numerator(t)
-        return base, counted
+        return counted
 
     def marked(a, precision):
         start = len(reads)
         out = kernel(a, precision)
         kernels.append((a, precision, reads[start:]))
         return out
-    monkeypatch.setattr(qbinomial, 'shift_numerator', counting)
-    monkeypatch.setattr(qgamma, 'shift_numerator', counting)
+    monkeypatch.setattr(qbinomial, 'q_brace_series', read_brace)
+    monkeypatch.setattr(qgamma, 'shift_numerator', read_law)
     monkeypatch.setattr(qgamma, '_kernel_series', marked)
     _cache.clear()
     return reads, kernels
@@ -279,17 +285,21 @@ def _count_walk(monkeypatch):
 
 def _assert_one_walk(reads, kernels, value):
     # the Pochhammer product at value is one kernel at value + m, whose
-    # run requests each binomial factor [a - k]_q / [k + 1]_q, k < K - 1,
-    # once and in order, then for value < 0 the descent's m factors
-    # 1 - q^j {value}_q, j = 1..m, once and in order: no rebuild and no
+    # run reads {a}_q once, at one precision, when it takes a step, then
+    # for value < 0 the descent's m factors 1 - q^j {value}_q, j = 1..m,
+    # requested once and in order from one shift law: no rebuild and no
     # second pass at a higher precision
     m = max(0, math.ceil(-value))
     [(a, precision, run)] = kernels
     assert a == value + m
     terms = _kernel_terms(a, precision)
-    assert run == ([(a, list(range(0, 1 - terms, -1)))] if terms > 1
-                   else [])
-    assert reads == run + ([(value, list(range(1, m + 1)))] if m else [])
+    if terms > 1:
+        [(kind, read, _)] = run
+        assert (kind, read) == ('brace', a)
+    else:
+        assert run == []
+    assert reads == run + ([('law', value, list(range(1, m + 1)))] if m
+                           else [])
     return terms
 
 
@@ -312,10 +322,9 @@ def test_pochhammer_builds_each_factor_once(monkeypatch, r):
                                Fraction(5, 7), Fraction(-1, 2),
                                Fraction(-2, 3), Fraction(-1, 7)], ids=str)
 def test_gamma_reads_each_shift_law_once(monkeypatch, r):
-    # gamma on (0, 1) and (-1, 0) reads the shift law of its kernel's
-    # argument and of the descent's, each once
+    # gamma on (0, 1) and (-1, 0) reads the brace of its kernel's
+    # argument and the shift law of the descent's, each once
     reads, _ = _count_walk(monkeypatch)
     q_gamma(r, 32)
-    values = [value for value, _ in reads]
-    assert len(values) == 2
-    assert len(set(values)) == len(values)
+    assert [kind for kind, _, _ in reads] == ['brace', 'law']
+    assert reads[0][1] != reads[1][1]

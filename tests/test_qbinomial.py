@@ -16,7 +16,8 @@ from qreals import (ConvergentSequence, DomainError, IntPolynomial,
                     q_factorial, q_integer, q_pochhammer, q_rational,
                     q_real_series, ratfun, series_from_ratfun)
 from qreals.qbinomial import (_cyclotomic, _cyclotomic_class,
-                              _fraction_factors, _has_cyclotomic_factor)
+                              _fraction_factors, _has_cyclotomic_factor,
+                              binomial_run)
 from qreals.qcore import _factor_order, _floor_and_order, _shift_law, _split
 
 # the package exports the function ratfun under the module's name
@@ -319,6 +320,23 @@ def test_series_route_matches_exact():
         got = q_binomial_series(r, k, 20)
         assert got.precision >= 20
         assert got.agrees_with(exact, 20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.fractions(min_value=-12, max_value=0, max_denominator=9),
+                 rationals), st.integers(min_value=0, max_value=7),
+       st.integers(min_value=-3, max_value=24), st.sampled_from([-1, 1]))
+def test_binomial_run_matches_the_exact_binomials(r, count, precision, sign):
+    # each step is one product with {r}_q and a running sum; the exact
+    # q_binomial expanded at the same precision must agree, for negative
+    # r and for both signs (sign +1 gives binom(r + k - 1, k))
+    run = binomial_run(r, [0] * (count + 1), precision, sign)
+    assert len(run) == count + 1
+    for k, got in enumerate(run):
+        top = r if sign < 0 else r + k - 1
+        want = series_from_ratfun(q_binomial(top, k), precision)
+        assert got.precision >= precision
+        assert got.truncate(precision) == want.truncate(precision), k
 
 
 def test_series_trivial_cases():

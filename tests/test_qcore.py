@@ -361,6 +361,26 @@ def test_quadratic_irrational_brace_series():
         0, 0, 1, 0, -1, 1, 2, -3, -3, 9, 2, -25, 11, 62]
 
 
+@pytest.mark.parametrize('precision', [-2, 0, 1, 32])
+def test_brace_of_zero_is_the_exact_one(precision):
+    # {0}_q = 1 + (q - 1)[0]_q = 1 exactly, at any requested precision
+    for zero in (0, Fraction(0), RationalValue(0)):
+        assert q_brace_series(zero, precision) == LaurentSeries.one()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=-12, max_value=12, max_denominator=16),
+       st.integers(min_value=-4, max_value=40))
+def test_rational_brace_series_expands_the_brace(r, precision):
+    # 1 + (q - 1)[r]_q as series arithmetic, against the one expansion
+    # of q_brace(r) that q_brace_series makes
+    want = 1 + LaurentSeries.from_polynomial(P(-1, 1)) * \
+        q_rational_series(r, precision)
+    if r == 0:
+        want = LaurentSeries.one()
+    assert q_brace_series(r, precision) == want
+
+
 def test_rational_real_spec_passthrough():
     s = q_real_series(RationalValue(Fraction(3, 2)), 6)
     assert s.coefficients(0, 6) == [1, 0, 1, -1, 1, -1]

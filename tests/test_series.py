@@ -2,14 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from qreals.errors import InsufficientPrecisionError
 from qreals.polynomial import IntPolynomial
 from qreals.qcore import _floor_and_order
 from qreals.ratfun import ratfun
-from qreals.series import (LaurentSeries, _multiply, _Shape, series,
-                           series_from_ratfun)
+from qreals.series import (LaurentSeries, _multiply, _Shape,
+                           _times_brace_factor, series, series_from_ratfun)
 
 
 def P(*coeffs):
@@ -488,6 +488,25 @@ def _assert_times_ratio_is_mul_then_div(s, num, den):
 @given(any_series, any_series, exact_divisors)
 def test_times_ratio_matches_mul_then_div(s, num, den):
     _assert_times_ratio_is_mul_then_div(s, num, den)
+
+
+@given(any_series.filter(bool), any_series,
+       st.integers(min_value=-6, max_value=6),
+       st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=3))
+def test_brace_factor_step_matches_mul_then_div(x, brace, s, m, cut):
+    # x (1 - q^s brace) / (1 - q^m) by series arithmetic, whose precision
+    # the rules fix, against the one-window step up to that precision:
+    # negative orders, fractions in both operands, a brace known to less
+    # than its first term, and a window that starts below x
+    product = x * (1 - brace.shift(s))
+    assume(not product.is_exact)
+    want = product / LaurentSeries.from_polynomial(P(1, *[0] * (m - 1), -1))
+    precision = want.precision - cut
+    assume(precision > min(x.order, x.order + s + brace.order))
+    got = _times_brace_factor(x, brace, s, m, precision)
+    assert got.to_json() == want.truncate(precision).to_json()
+    assert_canonical(got)
 
 
 @pytest.mark.parametrize('s, num, den', [
