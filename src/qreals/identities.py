@@ -17,11 +17,13 @@ import math
 import random
 from fractions import Fraction
 
+from . import _cache
 from .errors import DomainError, IntegralityError
 from .polynomial import IntPolynomial
 from .qbinomial import binomial_order, q_binomial, q_factorial, q_pochhammer
-from .qcore import (DEFAULT_PRECISION, _Record, order_at_zero, q_brace,
-                    q_brace_series, q_integer, q_rational)
+from .qcore import (DEFAULT_PRECISION, _floor_and_order, _Record,
+                    order_at_zero, q_brace, q_brace_series, q_integer,
+                    q_rational)
 from .qgamma import (gamma_power, gamma_reflection, pochhammer_at_q, q_gamma,
                      _gamma_order, _pochhammer_order)
 from .qseries import (binomial_product, binomial_series,
@@ -295,12 +297,20 @@ def _qx(f):
 # series at work = precision + pad, and the side it compares loses
 # precision to the negative orders of its factors, known in closed form:
 # binomial_order, ord [alpha]_q, ord {alpha}_q = floor(alpha) and the
-# Gamma orders.  So a checker first runs that side on series._Shape
-# values of those orders known to _W, and its pad is what they lose.  _W
-# is large, not 0: an XSeries truncates every coefficient to its shared
-# precision, which at 0 would make the exact 1 of 1 - {alpha}x unknown.
-# The brace counts as known to work even at alpha = 0, where it is
-# exactly 1; the other route of each statement loses as much there.
+# Gamma orders.  A checker's *_shapes function runs that side on
+# series._Shape values of those orders known to _W, and its pad is what
+# they lose.  _W is large, not 0: an XSeries truncates every coefficient
+# to its shared precision, which at 0 would make the exact 1 of
+# 1 - {alpha}x unknown.  The brace counts as known to work even at
+# alpha = 0, where it is exactly 1; the other route of each statement
+# loses as much there.
+#
+# Every one of those orders is fixed by (n, b) = qcore._floor_and_order
+# (alpha), the floor of alpha and the order of its fractional part, and
+# none depends on the precision.  So the pads are tabled by orders:
+# _pad_table keys a pad on (shapes, n, b, the checker's other
+# arguments) and runs the shapes on n + 1/(b + 1), the simplest alpha
+# with that floor and order.
 
 _W = 10 ** 6
 
@@ -321,20 +331,48 @@ def _pad(*sides):
     return max(0, _W - min(side.precision for side in sides))
 
 
+# The first 30 000 identity-series cases of seed 13 reach 164 keys
+# (0.03 MB).  The catalog's own samplers, with floors -8..8 and
+# fractional orders up to 39, reach thousands; at about 160 bytes an
+# entry, the bound holds the table near 0.16 MB.
+@_cache.table(1024)
+def _pad_table(shapes, n, b, *args):
+    # the pad of shapes(alpha, *args) for every alpha of floor n and
+    # fractional order b: ord [1/(b + 1)]_q = b (qcore._floor_and_order)
+    return _pad(*shapes(n if b == math.inf else n + Fraction(1, b + 1),
+                        *args))
+
+
+def _work(precision, shapes, a, *args):
+    # the working precision of a checker that compares shapes(a, *args)
+    return precision + _pad_table(shapes, *_floor_and_order(a), *args)
+
+
+def _xdeg(xdeg):
+    # checked before _pad_table, so that no pad is kept for a degree the
+    # series builders refuse
+    if xdeg < 0:
+        raise DomainError(f'x-degree must be nonnegative, got {xdeg}')
+    return xdeg
+
+
 def _combine(f, factor, sign):
     if sign > 0:
         return f * xseries([1, factor])
     return f / xseries([1, -factor])
 
 
+def _shift_one_shapes(a, xdeg, sign):
+    # only the brace factor costs precision
+    return (_combine(_family(a, xdeg, sign), _known(math.floor(a)), sign),)
+
+
 def _shift_one_check(series_form, sign):
     # two routes to the index shifted by one: rescale x by q and fold in
-    # the trivial factor, or keep x and fold in the brace factor; only
-    # the brace factor costs precision
+    # the trivial factor, or keep x and fold in the brace factor
     def check(binding, mode, precision, xdeg):
         a = binding['alpha']
-        work = precision + _pad(_combine(
-            _family(a, xdeg, sign), _known(math.floor(a)), sign))
+        work = _work(precision, _shift_one_shapes, a, _xdeg(xdeg), sign)
         lhs = series_form(a + 1, xdeg, work)
         f = series_form(a, xdeg, work)
         one = _combine(_qx(f), 1, sign)
@@ -345,22 +383,27 @@ def _shift_one_check(series_form, sign):
     return check
 
 
-def _shift_n_check(series_form, sign):
-    # the same two routes for an arbitrary integer shift, with the
-    # one-step factor replaced by the n-step series at rescaled x
-    def sides(f, g, brace, n):
-        return (g * f.substitute_x(LaurentSeries.q_power(n)),
-                g.substitute_x(brace) * f)
+def _shift_n_sides(f, g, brace, n):
+    # the one-step factor of _shift_one_check replaced by the n-step
+    # series g at rescaled x
+    return (g * f.substitute_x(LaurentSeries.q_power(n)),
+            g.substitute_x(brace) * f)
 
+
+def _shift_n_shapes(a, xdeg, sign, n):
+    return _shift_n_sides(_family(a, xdeg, sign), _family(n, xdeg, sign),
+                          _known(math.floor(a)), n)
+
+
+def _shift_n_check(series_form, sign):
+    # the same two routes for an arbitrary integer shift
     def check(binding, mode, precision, xdeg):
         a, n = binding['alpha'], binding['n']
-        work = precision + _pad(*sides(
-            _family(a, xdeg, sign), _family(n, xdeg, sign),
-            _known(math.floor(a)), n))
+        work = _work(precision, _shift_n_shapes, a, _xdeg(xdeg), sign, n)
         lhs = series_form(a + n, xdeg, work)
-        one, two = sides(series_form(a, xdeg, work),
-                         series_form(n, xdeg, work),
-                         q_brace_series(a, work), n)
+        one, two = _shift_n_sides(series_form(a, xdeg, work),
+                                  series_form(n, xdeg, work),
+                                  q_brace_series(a, work), n)
         equal = (lhs.agrees_with(one, xdeg + 1, precision)
                  and lhs.agrees_with(two, xdeg + 1, precision))
         return equal, lhs, two
@@ -373,21 +416,30 @@ def _times_family(value, f, rescale, xdeg):
     return value * (_qx(f) if rescale else f).truncate_x(xdeg)
 
 
+def _dq_shapes(a, xdeg, sign):
+    return (_times_family(_known(order_at_zero(a)),
+                          _family(a - sign, max(xdeg - 1, 0), sign),
+                          sign > 0, xdeg),)
+
+
 def _dq_check(series_form, sign):
     # the difference quotient against [alpha]_q times the neighbouring
     # series: at alpha - 1 and qx for the binomial family, at alpha + 1
     # for the inverse one
     def check(binding, mode, precision, xdeg):
         a = binding['alpha']
-        below = max(xdeg - 1, 0)
-        work = precision + _pad(_times_family(
-            _known(order_at_zero(a)), _family(a - sign, below, sign),
-            sign > 0, xdeg))
+        work = _work(precision, _dq_shapes, a, _xdeg(xdeg), sign)
         lhs = q_derivative(series_form(a, xdeg, work))
         rhs = _times_family(series_from_ratfun(q_rational(a), work),
-                            series_form(a - sign, below, work), sign > 0, xdeg)
+                            series_form(a - sign, max(xdeg - 1, 0), work),
+                            sign > 0, xdeg)
         return lhs.agrees_with(rhs, xdeg, precision), lhs, rhs
     return check
+
+
+def _func_eq_shapes(a, xdeg, sign):
+    return (_times_family(_known(order_at_zero(a)), _family(a, xdeg, sign),
+                          sign < 0, xdeg),)
 
 
 def _func_eq_check(series_form, sign):
@@ -396,8 +448,7 @@ def _func_eq_check(series_form, sign):
     # the derivative side is exact in its factors
     def check(binding, mode, precision, xdeg):
         a = binding['alpha']
-        work = precision + _pad(_times_family(
-            _known(order_at_zero(a)), _family(a, xdeg, sign), sign < 0, xdeg))
+        work = _work(precision, _func_eq_shapes, a, _xdeg(xdeg), sign)
         f = series_form(a, xdeg, work)
         lhs = q_derivative(f) * xseries([1, sign])
         rhs = _times_family(series_from_ratfun(q_rational(a), work), f,
@@ -406,10 +457,13 @@ def _func_eq_check(series_form, sign):
     return check
 
 
+def _gamma_shift_shapes(a):
+    return (_known(order_at_zero(a)) * _known(_gamma_order(a)),)
+
+
 def _gamma_shift_check(binding, mode, precision, xdeg):
     a = binding['alpha']
-    work = precision + _pad(_known(order_at_zero(a))
-                            * _known(_gamma_order(a)))
+    work = _work(precision, _gamma_shift_shapes, a)
     lhs = q_gamma(a + 1, work)
     rhs = series_from_ratfun(q_rational(a), work) * q_gamma(a, work)
     return lhs.agrees_with(rhs, precision), lhs, rhs
@@ -419,18 +473,21 @@ def _binom_times(binom, at_k, rest):
     return binom * (at_k * rest)
 
 
+def _gamma_binom_shapes(a, k):
+    binom = _known(binomial_order(a, k))
+    return (_binom_times(binom, _known(_gamma_order(k + 1)),
+                         _known(_gamma_order(a - k + 1))),
+            _binom_times(binom, _known(_pochhammer_order(k)),
+                         _known(_pochhammer_order(a - k))))
+
+
 def _gamma_binom_check(binding, mode, precision, xdeg):
     a, k = binding['alpha'], binding['k']
     # stated multiplicatively both ways: Gamma(a+1) against
     # binom * Gamma(k+1) * Gamma(a-k+1), and the same with Pochhammer
     # products at x = q.  The division form would pay twice the (large)
     # order of the deep-negative-argument factor instead.
-    binom = _known(binomial_order(a, k))
-    work = precision + _pad(
-        _binom_times(binom, _known(_gamma_order(k + 1)),
-                     _known(_gamma_order(a - k + 1))),
-        _binom_times(binom, _known(_pochhammer_order(k)),
-                     _known(_pochhammer_order(a - k))))
+    work = _work(precision, _gamma_binom_shapes, a, k)
     binom = series_from_ratfun(q_binomial(a, k), work)
     gamma_lhs = q_gamma(a + 1, work)
     gamma_rhs = _binom_times(binom, q_gamma(k + 1, work),

@@ -251,26 +251,27 @@ def binomial_run(value, shifts, precision, sign=-1):
     cut to what the remaining binomials need.  The product keeps the
     smaller of its factors' precisions (series.py: mul is min(p1 + ord2,
     p2 + ord1)), so {x}_q is read once, to the largest
-    w + ord [x + t]_q - t of the steps taken.  Each step is known to its order plus its w only if that order
-    is the one the factors' orders give, and a step whose order is another
-    raises InsufficientPrecisionError; with the exact orders of rationals
-    and periodic continued fractions none does.
+    w + ord [x + t]_q - t of the steps taken.  Each step is known to its
+    order plus its w only if that order is the one the factors' orders
+    give, and a step whose order is another raises
+    InsufficientPrecisionError; with the exact orders of rationals and
+    periodic continued fractions none does.
+
+    All of that sizing depends on x only through its floor n and the order
+    b of its fractional part (qcore._floor_and_order): it is one entry of
+    _run_plan, keyed on (n, b), the shifts, the precision and the sign,
+    and only the steps themselves read x.
     """
-    n, b = _floor_and_order(value)
-    steps = [_factor_order(n, b, sign * k) for k in range(len(shifts) - 1)]
-    orders = list(itertools.accumulate(steps, initial=0))
-    lows = [o + s for o, s in zip(orders, shifts)]
-    works = [max(0, precision - min(lows[k:])) for k in range(len(lows))]
+    steps, works, read = _run_plan(
+        *_floor_and_order(value), tuple(shifts), precision, sign)
     if not works:
         return []
-    taken = next((k for k in range(len(steps)) if not works[k + 1]),
-                 len(steps))
+    orders = list(itertools.accumulate(steps, initial=0))
     run = LaurentSeries.one().truncate(works[0])
     out = [run]
-    if taken:
-        brace = q_brace_series(value, max(works[k + 1] + steps[k] - sign * k
-                                          for k in range(taken)))
-    for k in range(taken):
+    if read is not None:
+        brace = q_brace_series(value, read)
+    for k in range(len(works) - 1):
         run = _times_brace_factor(run, brace, sign * k, k + 1,
                                   orders[k + 1] + works[k + 1])
         if run.order != orders[k + 1]:
@@ -279,6 +280,29 @@ def binomial_run(value, shifts, precision, sign=-1):
                 f'the {orders[k + 1]} of its factors')
         out.append(run)
     return out + [LaurentSeries.zero(o) for o in orders[len(out):]]
+
+
+# A plan is two short tuples and an int.  The first 30 000
+# identity-series cases of seed 13 make 36 062 runs with 270 distinct
+# plans (0.20 MB); the long runs of the Gamma kernel, one per Pochhammer
+# table miss, are 38 of them and about half of that memory.
+@_cache.table(1024)
+def _run_plan(n, b, shifts, precision, sign):
+    """(steps, works, read) of binomial_run for an x with _floor_and_order
+    (n, b): the orders of the steps' factors, what each binomial the run
+    builds is known to beyond its order, and the precision {x}_q is read
+    to (None when the run takes no step)."""
+    steps = [_factor_order(n, b, sign * k) for k in range(len(shifts) - 1)]
+    orders = list(itertools.accumulate(steps, initial=0))
+    lows = [o + s for o, s in zip(orders, shifts)]
+    works = [max(0, precision - min(lows[k:])) for k in range(len(lows))]
+    # works never grows, and the run stops before the first binomial
+    # that needs none
+    taken = next((k for k in range(len(steps)) if not works[k + 1]),
+                 len(steps))
+    read = max([works[k + 1] + steps[k] - sign * k for k in range(taken)],
+               default=None)
+    return tuple(steps), tuple(works[:taken + 1]), read
 
 
 def binomial_order(value, k):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import qreals.identities as identities
+from qreals import _cache
 from qreals.errors import DomainError
 from qreals.identities import (CATALOG, IDENTITIES, IdentityCase, run_suite,
                                verify_identity)
@@ -191,3 +193,53 @@ def test_report_json_shape():
         'pass': 1, 'total': 1, 'expect': 'unequal'}
     assert payload['unexpected'] == []
     json.dumps(payload)  # must be serializable as-is
+
+
+# -- the pad table ----------------------------------------------------------
+
+PAD_ALPHAS = sorted({Fraction(p, d) for p in range(-40, 41)
+                     for d in range(1, 13)})
+SHIFTS = (-3, -1, 1, 2, 4, 5)
+
+
+def _pad_cases(xdeg):
+    # (shapes, the arguments after alpha) of every checker's pad; the
+    # Gamma checkers have no x-degree
+    for sign in (1, -1):
+        for shapes in (identities._shift_one_shapes, identities._dq_shapes,
+                       identities._func_eq_shapes):
+            yield shapes, (xdeg, sign)
+        for n in SHIFTS:
+            yield identities._shift_n_shapes, (xdeg, sign, n)
+    if xdeg == 0:
+        yield identities._gamma_shift_shapes, ()
+        for k in range(1, 5):
+            yield identities._gamma_binom_shapes, (k,)
+
+
+@pytest.mark.parametrize('xdeg', range(9))
+def test_tabled_pads_equal_the_pads_derived_on_shapes(xdeg):
+    # the table runs the shapes on one alpha per floor and fractional
+    # order; every other alpha of that pair must lose exactly as much
+    _cache.clear()
+    for shapes, args in _pad_cases(xdeg):
+        for a in PAD_ALPHAS:
+            derived = identities._pad(*shapes(a, *args))
+            assert identities._work(0, shapes, a, *args) == derived, (
+                shapes.__name__, a, args)
+
+
+SERIES_CHECKED = ['SHIFT_B', 'SHIFT_b', 'SHIFT_Bn', 'SHIFT_bn', 'DQ_B',
+                  'DQ_b', 'FUNC_EQ_B', 'FUNC_EQ_b']
+
+
+def test_negative_x_degree_is_raised_before_any_table():
+    # the checkers themselves, without verify_identity's ValueError
+    _cache.clear()
+    for _ in range(2):
+        for name in SERIES_CHECKED:
+            with pytest.raises(DomainError, match='x-degree'):
+                CATALOG[name].check({'alpha': Fraction(5, 3), 'n': 2},
+                                    'series', 8, -1)
+    for name, info in _cache.info().items():
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0), name

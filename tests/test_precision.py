@@ -227,14 +227,19 @@ def test_identity_checker_pads_are_the_smallest_that_work(monkeypatch,
         return pads[-1]
 
     for name, binding in _checker_panel():
+        # from an empty pad table, so that each run derives its pad
+        _cache.clear()
         monkeypatch.setattr(identities, '_pad', recorded)
         assert verify_identity(name, binding, precision=P, xdeg=xdeg).ok
         pad = pads[-1]
         if pad:
             # one less falls short, and the checker raises
+            _cache.clear()
             monkeypatch.setattr(identities, '_pad', lambda *shapes: pad - 1)
             with pytest.raises(InsufficientPrecisionError):
                 verify_identity(name, binding, precision=P, xdeg=xdeg)
+            # no pad short by one stays in the table
+            _cache.clear()
 
 
 def _kernel_terms(a, precision):

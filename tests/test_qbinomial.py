@@ -17,7 +17,7 @@ from qreals import (ConvergentSequence, DomainError, IntPolynomial,
                     q_real_series, ratfun, series_from_ratfun)
 from qreals.qbinomial import (_cyclotomic, _cyclotomic_class,
                               _fraction_factors, _has_cyclotomic_factor,
-                              binomial_run)
+                              _run_plan, binomial_run)
 from qreals.qcore import _factor_order, _floor_and_order, _shift_law, _split
 
 # the package exports the function ratfun under the module's name
@@ -337,6 +337,38 @@ def test_binomial_run_matches_the_exact_binomials(r, count, precision, sign):
         want = series_from_ratfun(q_binomial(top, k), precision)
         assert got.precision >= precision
         assert got.truncate(precision) == want.truncate(precision), k
+
+
+# (shifts for count + 1 binomials, sign) of the runs the library makes:
+# the deformed (1+x)^a, 1/(1-x)^a and the Gamma kernel
+RUN_PATTERNS = {
+    'B': lambda count: ([k * (k - 1) // 2 for k in range(count + 1)], -1),
+    'b': lambda count: ([0] * (count + 1), 1),
+    'Gamma': lambda count: ([k * (k + 1) // 2 for k in range(count + 1)],
+                            -1)}
+
+
+def _run_json(r, shifts, precision, sign):
+    return [s.to_json() for s in binomial_run(r, shifts, precision, sign)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rationals, st.sampled_from(sorted(RUN_PATTERNS)),
+       st.integers(min_value=0, max_value=9),
+       st.integers(min_value=-3, max_value=40))
+def test_warm_runs_equal_cold_runs(r, pattern, count, precision):
+    # the plan is keyed on the floor and fractional order of r, so the
+    # simplest value with both makes the entry that r then reads
+    shifts, sign = RUN_PATTERNS[pattern](count)
+    _cache.clear()
+    cold = _run_json(r, shifts, precision, sign)
+    n, b = _floor_and_order(r)
+    _cache.clear()
+    binomial_run(n if b == math.inf else n + Fraction(1, b + 1), shifts,
+                 precision, sign)
+    hits = _run_plan.cache_info().hits
+    assert _run_json(r, shifts, precision, sign) == cold
+    assert _run_plan.cache_info().hits == hits + 1
 
 
 def test_series_trivial_cases():

@@ -381,6 +381,36 @@ def test_rational_brace_series_expands_the_brace(r, precision):
     assert q_brace_series(r, precision) == want
 
 
+BRACE_GRID = sorted({Fraction(p, d) for p in range(-70, 71)
+                     for d in range(1, 17)})
+
+
+def test_brace_table_reads_equal_direct_expansions():
+    # from one cold table, so later precisions and later r = f + n read
+    # the entries earlier ones made
+    _cache.clear()
+    for r in BRACE_GRID:
+        for precision in (-3, 0, 1, 7, 16, 17, 32, 40, 63):
+            got = q_brace_series(r, precision)
+            want = (LaurentSeries.one() if r == 0
+                    else series_from_ratfun(q_brace(r), precision))
+            assert got.to_json() == want.to_json(), (r, precision)
+            assert got == want, (r, precision)
+    assert qcore._brace_table.cache_info().hits
+
+
+def test_real_braces_stay_out_of_the_brace_table():
+    _cache.clear()
+    three_halves = ConvergentSequence(lambda: iter([Fraction(3, 2)] * 4),
+                                      'three halves')
+    for value in (three_halves, PeriodicContinuedFraction((2,), (2,))):
+        q_brace_series(value, 16)
+    info = qcore._brace_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    q_brace_series(Fraction(3, 2), 16)
+    assert qcore._brace_table.cache_info().currsize == 1
+
+
 def test_rational_real_spec_passthrough():
     s = q_real_series(RationalValue(Fraction(3, 2)), 6)
     assert s.coefficients(0, 6) == [1, 0, 1, -1, 1, -1]

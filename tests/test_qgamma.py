@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qreals
+import qreals.identities as identities
+import qreals.qbinomial as qbinomial
+import qreals.qcore as qcore
 import qreals.qgamma as qgamma
 from qreals import _cache
 from qreals import (DEFAULT_PRECISION, DomainError, IntegralityError,
@@ -341,14 +344,20 @@ def test_domain_errors_are_raised_every_time_and_not_cached():
 # (table, its bound, the key of entry n), each case named after its
 # table; precision 2 keeps every build to a factor or two, and
 # reflection keys vary only the precision, since both of its factors
-# grow with the argument
+# grow with the argument.  The order-only tables of the series path sit
+# here too: a brace of 1/(n + 2), a one-step run plan at precision n and
+# a Gamma checker's pad at floor n.
 @pytest.mark.parametrize('cache, size, key', [
     pytest.param(cache, size, key, id=cache.__name__)
     for cache, size, key in [
         (_gamma_table, 128, lambda n: (Fraction(n, 7) + 1, 2)),
         (_reflection_table, 64, lambda n: (Fraction(1, 2), n)),
         (_power_table, 64, lambda n: (Fraction(n + 1), 1, 2)),
-        (_pochhammer_product, 512, lambda n: (Fraction(n, 7), 2))]])
+        (_pochhammer_product, 512, lambda n: (Fraction(n, 7), 2)),
+        (qcore._brace_table, 256, lambda n: (1, n + 2, 2)),
+        (qbinomial._run_plan, 1024, lambda n: (0, 1, (0, 0), n, -1)),
+        (identities._pad_table, 1024,
+         lambda n: (identities._gamma_shift_shapes, n, 1))]])
 def test_caches_are_bounded(cache, size, key):
     _cache.clear()
     assert cache.cache_info().maxsize == size

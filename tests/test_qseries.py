@@ -12,7 +12,7 @@ from qreals import (ConvergentSequence, DomainError, InsufficientPrecisionError,
                     QRationalFunction, RationalValue, gamma_power,
                     gamma_reflection, pochhammer_at_q, q_binomial, q_brace,
                     q_gamma, q_rational, q_real_series, ratfun,
-                    series_from_ratfun)
+                    series_from_ratfun, verify_identity)
 from qreals.cli import main
 from qreals.qseries import (XSeries, binomial_coefficients, binomial_product,
                             binomial_series, generalized_pochhammer,
@@ -393,11 +393,17 @@ def test_clear_empties_every_registered_table():
     gamma_reflection(Fraction(1, 3), 8)
     gamma_power(1, 2, 8)
     pochhammer_at_q(Fraction(1, 3), 8)
-    assert {'qreals.qcore._q_rational_cached', 'qreals.qbinomial._cyclotomic',
+    # a series checker fills the pad, run-plan and brace tables
+    assert verify_identity('SHIFT_B', {'alpha': Fraction(5, 3)},
+                           precision=8, xdeg=3).ok
+    assert {'qreals.qcore._q_rational_cached', 'qreals.qcore._brace_table',
+            'qreals.qbinomial._cyclotomic',
             'qreals.qbinomial._cyclotomic_class',
+            'qreals.qbinomial._run_plan',
             'qreals.qgamma._gamma_table', 'qreals.qgamma._reflection_table',
             'qreals.qgamma._power_table', 'qreals.qgamma._pochhammer_product',
-            'qreals.qseries._product_table'} <= set(_cache.info())
+            'qreals.qseries._product_table',
+            'qreals.identities._pad_table'} <= set(_cache.info())
     assert all(info.currsize for info in _cache.info().values())
     _cache.clear()
     assert all(info.currsize == 0 for info in _cache.info().values())
