@@ -483,6 +483,12 @@ def _gamma_binom_shapes(a, k):
 
 def _gamma_binom_check(binding, mode, precision, xdeg):
     a, k = binding['alpha'], binding['k']
+    # refuse q_gamma's poles before sizing the pad: a pole's Gamma
+    # order, and so its pad, is infinite
+    for pole in (a + 1, a - k + 1):
+        if Fraction(pole).denominator == 1 and pole <= 0:
+            raise DomainError(
+                f'gamma has a pole at the nonpositive integer {pole}')
     # stated multiplicatively both ways: Gamma(a+1) against
     # binom * Gamma(k+1) * Gamma(a-k+1), and the same with Pochhammer
     # products at x = q.  The division form would pay twice the (large)

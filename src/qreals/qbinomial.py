@@ -80,9 +80,9 @@ from . import _cache
 from .errors import DomainError, InsufficientPrecisionError
 from .polynomial import IntPolynomial, _quotient
 from .qcore import (DEFAULT_PRECISION, _factor_order, _floor_and_order,
-                    _q_rational_cached, _shift_law, _split, q_brace_series)
+                    _q_rational_cached, _split, q_brace_series)
 from .ratfun import QRationalFunction, ratfun
-from .series import LaurentSeries, _canonical, _times_brace_factor
+from .series import LaurentSeries, _times_brace_factor
 
 
 def q_factorial(n):
@@ -208,28 +208,6 @@ def _product_tree(factors):
         factors = [factors[i] * factors[i + 1] if i + 1 < len(factors)
                    else factors[i] for i in range(0, len(factors), 2)]
     return factors[0] if factors else IntPolynomial.one()
-
-
-def shift_numerator(r):
-    """t -> f(t) = (1 - q) D [r + t]_q = D + q^(lo + t) C for a rational r.
-
-    The shift law of the module docstring with D and C exact
-    (_shift_law): every f(t) is an exact offset sum of their integer
-    coefficients.
-    """
-    lo, den, c = _shift_law(r)
-    d, c = den.coeffs, c.coeffs
-    return lambda t: _offset_sum(d, c, lo + t)
-
-
-def _offset_sum(a, b, s):
-    """The exact series a + q^s b of two int coefficient sequences."""
-    lo = min(0, s)
-    acc = [0] * (max(len(a), s + len(b)) - lo)
-    acc[-lo:len(a) - lo] = a
-    for i, y in enumerate(b, s - lo):
-        acc[i] += y
-    return _canonical(lo, acc, 1, math.inf)
 
 
 def binomial_run(value, shifts, precision, sign=-1):

@@ -22,10 +22,10 @@ k(k+1)/2 + ord binom(a, k) >= k, so the terms k <= P settle precision
 P, and the run stops by itself once no later term shows.  Below 0 the
 sum does not converge, and the brace law {a + m}_q = q^m {a}_q gives
 the descent instead: P(a) is P(a + m), m = ceil(-a), divided by its
-first m factors 1 - q^j {a}_q = (1 - q)[a + j]_q = f(j) / D, with
-f(j) from qbinomial.shift_numerator and D the denominator of [a]_q,
-both exact.  An exact factor moves a series' precision by exactly its
-order.
+first m factors 1 - q^j {a}_q = (1 - q)[a + j]_q, each an exact
+rational function formed from the one exact brace {a}_q and applied as
+a multiplication by its denominator and a division by its numerator.
+An exact factor moves a series' precision by exactly its order.
 
 The Gamma values of non-integer rationals are full Laurent series with
 unbounded rational coefficients, yet the reflection product
@@ -66,8 +66,9 @@ from fractions import Fraction
 from . import _cache
 from .errors import DomainError, InsufficientPrecisionError, IntegralityError
 from .qcore import (DEFAULT_PRECISION, _factor_order, _floor_and_order,
-                    q_rational)
-from .qbinomial import binomial_order, binomial_run, shift_numerator
+                    q_brace)
+from .qbinomial import binomial_order, binomial_run
+from .ratfun import QRationalFunction
 from .series import LaurentSeries, _canonical
 
 
@@ -167,15 +168,16 @@ def pochhammer_at_q(value, precision=DEFAULT_PRECISION):
 def _pochhammer_product(r, precision):
     if r >= 0:
         return _kernel_series(r, precision)
-    # P(r) = P(r + m) / prod_(j<=m) f(j)/D, whose divisors have order
-    # -_pochhammer_order(r) together
+    # P(r) = P(r + m) / prod_(j<=m) (1 - q^j {r}_q), whose divisors have
+    # order -_pochhammer_order(r) together
     m = math.ceil(-r)
     out = _pochhammer_product(
         r + m, precision + max(0, -_pochhammer_order(r)))
-    numerator = shift_numerator(r)
-    den = LaurentSeries.from_polynomial(q_rational(r).den)
+    brace = q_brace(r)
     for j in range(1, m + 1):
-        out = out.times_ratio(den, numerator(j))
+        f = 1 - QRationalFunction.q_power(j) * brace
+        out = (out * LaurentSeries.from_polynomial(f.den)
+               / LaurentSeries.from_polynomial(f.num).shift(f.e))
     return out.truncate(precision)
 
 

@@ -30,18 +30,13 @@ Arithmetic propagates precision pessimistically:
     mul:  min(p1 + ord2, p2 + ord1)      (unknown tails shift by the
                                           other factor's order)
     div:  min(p1 - ord2, p2 - 2*ord2 + ord1)
-    times_ratio:  self * num / den for an exact den,
-          min(p_self + ord num, p_num + ord self) - ord den
 
 where a series with no known coefficient contributes its precision in
 place of its order; _mul_precision and _div_precision state the rules
 once.  A divisor with no known coefficient is refused, and so is the
 division of two exact series unless the divisor is a monomial, since the
 quotient would in general need infinitely many terms; truncate() an
-operand first.  times_ratio is the composition of mul and div, and
-refuses what div refuses; it runs one multiply and one division on the
-raw product and forms one canonical series at the end, and the Gamma
-descent applies its exact shift-law factors with it.
+operand first.
 
 Multiplication works on the numerators, over the product of the
 denominators.  An exact one-term factor c q^e / d is a shift by e and a
@@ -264,7 +259,14 @@ class LaurentSeries:
         if not self._nums:
             return LaurentSeries.zero(p)
         o = self._order - other._order
-        n = _quotient_terms(p, o, other, len(self._nums))
+        if p != math.inf:
+            n = p - o
+        elif len(other._nums) > 1:
+            raise InsufficientPrecisionError(
+                'division of exact series would need infinitely many terms; '
+                'truncate() an operand to a finite precision first')
+        else:   # an exact quotient by a monomial keeps every term
+            n = len(self._nums)
         if n <= 0:
             return LaurentSeries.zero(p)
         # (a/da) / (b/db) = (a/b) * db / da
@@ -279,32 +281,6 @@ class LaurentSeries:
         if other is NotImplemented:
             return NotImplemented
         return other / self
-
-    def times_ratio(self, num, den):
-        """self * num / den for an exact den, in one integer pass.
-
-        One _multiply and one _divide on the raw product, with no
-        canonical form in between; the precision is the composition of
-        the two rules (module docstring), and an exact self and num with
-        a divisor that is not a monomial raise as __truediv__ does.
-        """
-        if den._precision != math.inf:
-            raise ValueError('times_ratio needs an exact divisor')
-        product = _Shape(self._order + num._order, _mul_precision(self, num))
-        p = _div_precision(product, den)
-        if not self._nums or not num._nums:
-            return LaurentSeries.zero(p)
-        o = product._order - den._order
-        n = _quotient_terms(p, o, den, len(self._nums) + len(num._nums) - 1)
-        if n <= 0:
-            return LaurentSeries.zero(p)
-        a, b = self._nums[:n], num._nums[:n]
-        prod = _multiply(a, b, min(len(a) + len(b) - 1, n))
-        nums, d = _divide(prod, den._nums[:n], n)
-        db = den._den
-        if db != 1:
-            nums = [y * db for y in nums]
-        return _canonical(o, nums, d * self._den * num._den, p)
 
     def __pow__(self, n):
         return _power(self, n, LaurentSeries.one())
@@ -374,17 +350,6 @@ def _div_precision(x, y):
         raise InsufficientPrecisionError(
             f'divisor has no known nonzero coefficient below q^{o}')
     return min(x._precision - o, y._precision - 2 * o + x._eff_order())
-
-
-def _quotient_terms(p, o, divisor, exact_terms):
-    # an exact quotient keeps exact_terms, which needs a monomial divisor
-    if p != math.inf:
-        return p - o
-    if len(divisor._nums) > 1:
-        raise InsufficientPrecisionError(
-            'division of exact series would need infinitely many terms; '
-            'truncate() an operand to a finite precision first')
-    return exact_terms
 
 
 def _shape_rule(rule):

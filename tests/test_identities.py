@@ -139,6 +139,11 @@ def test_out_of_domain_bindings_raise():
     with pytest.raises(DomainError):
         verify_identity('VAND_LEMMA', {'alpha': Fraction(1, 2), 'ell': 4,
                                        'm': 1, 'n': 2})
+    # Gamma(alpha + 1) or Gamma(alpha - k + 1) at a pole
+    for k in range(1, 5):
+        for alpha in range(-6, k):
+            with pytest.raises(DomainError):
+                verify_identity('GAMMA_BINOM', {'alpha': alpha, 'k': k})
 
 
 def test_double_binomial_collapse_holds_on_strip_boundary():

@@ -255,26 +255,19 @@ def _kernel_terms(a, precision):
 
 def _count_walk(monkeypatch):
     # every read of a brace {x}_q made by binomial_run, with its
-    # precision, every shift-law read made by the descent, with the
-    # factors requested from it, and every kernel built with the reads
-    # made inside it; from cold tables
+    # precision, every exact brace read made by the descent, and every
+    # kernel built with the reads made inside it; from cold tables
     reads, kernels = [], []
-    brace, law = qbinomial.q_brace_series, qgamma.shift_numerator
+    brace, exact = qbinomial.q_brace_series, qgamma.q_brace
     kernel = qgamma._kernel_series
 
     def read_brace(value, precision):
         reads.append(('brace', value, precision))
         return brace(value, precision)
 
-    def read_law(value):
-        requested = []
-        reads.append(('law', value, requested))
-        numerator = law(value)
-
-        def counted(t):
-            requested.append(t)
-            return numerator(t)
-        return counted
+    def read_exact(value):
+        reads.append(('exact', value, None))
+        return exact(value)
 
     def marked(a, precision):
         start = len(reads)
@@ -282,7 +275,7 @@ def _count_walk(monkeypatch):
         kernels.append((a, precision, reads[start:]))
         return out
     monkeypatch.setattr(qbinomial, 'q_brace_series', read_brace)
-    monkeypatch.setattr(qgamma, 'shift_numerator', read_law)
+    monkeypatch.setattr(qgamma, 'q_brace', read_exact)
     monkeypatch.setattr(qgamma, '_kernel_series', marked)
     _cache.clear()
     return reads, kernels
@@ -291,9 +284,9 @@ def _count_walk(monkeypatch):
 def _assert_one_walk(reads, kernels, value):
     # the Pochhammer product at value is one kernel at value + m, whose
     # run reads {a}_q once, at one precision, when it takes a step, then
-    # for value < 0 the descent's m factors 1 - q^j {value}_q, j = 1..m,
-    # requested once and in order from one shift law: no rebuild and no
-    # second pass at a higher precision
+    # for value < 0 the descent forms its m factors 1 - q^j {value}_q,
+    # j = 1..m, from one exact read of {value}_q: no rebuild, no second
+    # pass at a higher precision and no brace read per factor
     m = max(0, math.ceil(-value))
     [(a, precision, run)] = kernels
     assert a == value + m
@@ -303,8 +296,7 @@ def _assert_one_walk(reads, kernels, value):
         assert (kind, read) == ('brace', a)
     else:
         assert run == []
-    assert reads == run + ([('law', value, list(range(1, m + 1)))] if m
-                           else [])
+    assert reads == run + ([('exact', value, None)] if m else [])
     return terms
 
 
@@ -327,9 +319,9 @@ def test_pochhammer_builds_each_factor_once(monkeypatch, r):
                                Fraction(5, 7), Fraction(-1, 2),
                                Fraction(-2, 3), Fraction(-1, 7)], ids=str)
 def test_gamma_reads_each_shift_law_once(monkeypatch, r):
-    # gamma on (0, 1) and (-1, 0) reads the brace of its kernel's
-    # argument and the shift law of the descent's, each once
+    # gamma on (0, 1) and (-1, 0) reads the brace series of its kernel's
+    # argument and the exact brace of the descent's, each once
     reads, _ = _count_walk(monkeypatch)
     q_gamma(r, 32)
-    assert [kind for kind, _, _ in reads] == ['brace', 'law']
+    assert [kind for kind, _, _ in reads] == ['brace', 'exact']
     assert reads[0][1] != reads[1][1]

@@ -463,33 +463,6 @@ def test_every_operation_returns_the_canonical_form(a, b, d):
         assert_canonical(s)
 
 
-# exact divisors for times_ratio: monomials and not, leads other than
-# +-1, non-integral coefficients, negative orders
-exact_divisors = st.builds(
-    lambda o, lead, gap, tail: series(o, [lead] + [0] * (gap - 1) + tail),
-    st.integers(min_value=-4, max_value=4),
-    st.sampled_from([1, -1, 2, -3, Fraction(3, 2), Fraction(-2, 5)]),
-    st.integers(min_value=1, max_value=8), mixed_coeffs)
-
-
-def _assert_times_ratio_is_mul_then_div(s, num, den):
-    if (s.is_exact and num.is_exact and len(den.coeffs) > 1
-            and s and num):
-        with pytest.raises(InsufficientPrecisionError):
-            s * num / den
-        with pytest.raises(InsufficientPrecisionError):
-            s.times_ratio(num, den)
-        return
-    got = s.times_ratio(num, den)
-    assert got.to_json() == (s * num / den).to_json()
-    assert_canonical(got)
-
-
-@given(any_series, any_series, exact_divisors)
-def test_times_ratio_matches_mul_then_div(s, num, den):
-    _assert_times_ratio_is_mul_then_div(s, num, den)
-
-
 @given(any_series.filter(bool), any_series,
        st.integers(min_value=-6, max_value=6),
        st.integers(min_value=1, max_value=6),
@@ -507,44 +480,6 @@ def test_brace_factor_step_matches_mul_then_div(x, brace, s, m, cut):
     got = _times_brace_factor(x, brace, s, m, precision)
     assert got.to_json() == want.truncate(precision).to_json()
     assert_canonical(got)
-
-
-@pytest.mark.parametrize('s, num, den', [
-    # the divisor lead 2 puts powers of 2 in the denominator
-    (series(0, [1, 1], 9), series(0, [1, -1]), series(0, [2, 1])),
-    # non-integral self, num and den, at negative orders
-    (series(-2, [Fraction(1, 3), 2], 6), series(-1, [Fraction(-5, 2), 1]),
-     series(-1, [Fraction(3, 2), 0, Fraction(1, 4)])),
-    # an inexact num whose precision binds: 3 + 0 against 20 + 1
-    (series(0, [1, 2, 3], 20), series(1, [1, 1], 3), series(0, [1, -1])),
-    # zero self, exact and known only below q^4
-    (LaurentSeries.zero(), series(0, [1, 2], 7), series(0, [1, 1])),
-    (LaurentSeries.zero(4), series(-1, [1, 2], 7), series(0, [1, 1])),
-    # exact self and num: a monomial divisor keeps the result exact, any
-    # other divisor raises
-    (series(0, [1, 2]), series(1, [3, 0, 1]), series(2, [Fraction(-2, 3)])),
-    (series(0, [1, 2]), series(1, [3, 0, 1]), series(0, [2, 1])),
-])
-def test_times_ratio_cases(s, num, den):
-    _assert_times_ratio_is_mul_then_div(s, num, den)
-
-
-def test_times_ratio_precision_rule():
-    # min(p_self + ord num, p_num + ord self) - ord den
-    s = series(-1, [1, 2], 10)
-    den = series(1, [1, 1])
-    assert s.times_ratio(series(2, [1, 1], 6), den).precision == 4
-    assert s.times_ratio(series(2, [1, 1], 20), den).precision == 11
-    assert (series(0, [1, 2]).times_ratio(series(0, [1]), series(-1, [4]))
-            .is_exact)
-
-
-def test_times_ratio_refuses_bad_divisors():
-    s = series(0, [1, 2], 5)
-    with pytest.raises(ZeroDivisionError):
-        s.times_ratio(s, LaurentSeries.zero())
-    with pytest.raises(ValueError):
-        s.times_ratio(s, series(0, [1, 1], 3))
 
 
 def _assert_shape(shape, real, same_order=True):
