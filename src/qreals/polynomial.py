@@ -42,8 +42,9 @@ the bit length of M, every coefficient is below 2^(k-1) in size, and
 such a digit sequence is exactly what _unpack reads back: the result is
 exact by construction and needs no check and no fallback.  Any larger
 k is exact too, so a k of at most 64 is rounded up to a machine word,
-8, 16, 32 or 64 bits (_kronecker).  There the digits are written and
-read in C: _pack is int.from_bytes of an array of the coefficients, the
+8, 16, 32 or 64 bits (_width; _digits reads back at any width, and the
+series kernels share both).  There the digits are written and read in
+C: _pack is int.from_bytes of an array of the coefficients, the
 top bit of each word flipped and the flips subtracted, and _words adds
 the flips, flips them back and reads the bytes as an array, with no
 carry loop.  For 38 32-bit digits that reads back in 1.2 µs where the
@@ -354,13 +355,24 @@ def _kronecker(a, b, n):
     2^(k-1) in size, so one balanced base-2^k digit each; k is rounded up
     to a machine word when it is at most 64, where the digits are read in C.
     """
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    k = _width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
+    return _digits(_pack(a, k) * _pack(b, k), k, n)
+
+
+def _width(bound):
+    """The digit width k for coefficients at most bound in size: one more
+    than its bit length, rounded up to a machine word when at most 64."""
     k = bound.bit_length() + 1
-    if k > 64:
-        out = _unpack(_low_digits(_pack(a, k) * _pack(b, k), k, n), k)
-        return out + [0] * (n - len(out))
-    k = max(8, 1 << (k - 1).bit_length())
-    return _words(_pack(a, k) * _pack(b, k), k, n)
+    return k if k > 64 else max(8, 1 << (k - 1).bit_length())
+
+
+def _digits(n, k, m):
+    """The low m balanced base-2^k digits of n as a list, read in C at a
+    word width (_words)."""
+    if k in _WORD_CODES:
+        return _words(n, k, m)
+    out = _unpack(_low_digits(n, k, m), k)
+    return out + [0] * (m - len(out))
 
 
 def _pack(coeffs, k):

@@ -248,10 +248,10 @@ def binomial_run(value, shifts, precision, sign=-1):
     run = LaurentSeries.one().truncate(works[0])
     out = [run]
     if read is not None:
-        brace = q_brace_series(value, read)
+        brace, packs = q_brace_series(value, read), {}
     for k in range(len(works) - 1):
         run = _times_brace_factor(run, brace, sign * k, k + 1,
-                                  orders[k + 1] + works[k + 1])
+                                  orders[k + 1] + works[k + 1], packs)
         if run.order != orders[k + 1]:
             raise InsufficientPrecisionError(
                 f'binomial {k + 1} of {value} has order {run.order}, not '

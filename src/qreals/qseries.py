@@ -27,8 +27,11 @@ product is then a polynomial in y of degree xdeg per power of x, and
 code path serves rational and irrational braces.  The sum routes
 advance binom(a, k) -> binom(a, k+1) (or binom(a+k-1, k) ->
 binom(a+k, k+1)) by the factors of qbinomial.binomial_run, one run
-for every a, each step one product with one series {a}_q, read once,
-and a running sum.
+for every a, each step one packed product with one series {a}_q, read
+once and packed once per width, and a running sum.  An XSeries product
+is one packed sum of products per power of x (series._sums_of_products),
+and q_derivative multiplies the x^j coefficient by [j]_q as a
+difference and a running sum (series._times_q_integer).
 
 Precision policy: the series and product builders return exactly the
 q-precision they are given, sized up front.  With d = max(0, -ord {a}_q),
@@ -48,12 +51,12 @@ from fractions import Fraction
 
 from . import _cache
 from .errors import DomainError, InsufficientPrecisionError
-from .polynomial import IntPolynomial
 from .qbinomial import binomial_run, q_binomial
 from .qcore import (DEFAULT_PRECISION, _as_rational, _floor_and_order,
                     q_brace_series)
 from .ratfun import QRationalFunction
-from .series import LaurentSeries, _coerce, _Shape, series
+from .series import (LaurentSeries, _coerce, _Shape, _sums_of_products,
+                     _times_q_integer, series)
 
 
 def _coerce_coeff(c):
@@ -111,7 +114,7 @@ class XSeries:
         # exactly-zero x-prefix; a coefficient that merely has no known
         # terms may still hide content below its precision
         for j, c in enumerate(self._coeffs):
-            if not (c.is_zero and c.precision == math.inf):
+            if not _exact_zero(c):
                 return j
         return self._xlength
 
@@ -179,17 +182,21 @@ class XSeries:
             n = len(self._coeffs) + len(other._coeffs) - 1
         else:
             n = length
-        coeffs = []
-        for k in range(n):
-            acc = None
-            lo = max(v1, k - (len(other._coeffs) - 1)) if other._coeffs else 0
-            hi = min(k - v2, len(self._coeffs) - 1)
-            for j in range(lo, hi + 1):
-                term = self._coeffs[j] * other._coeffs[k - j]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = LaurentSeries.zero(math.inf)
-            coeffs.append(acc)
+        a, b = self._coeffs, other._coeffs
+        rows = [[(a[j], b[k - j]) for j in range(max(v1, k - len(b) + 1),
+                                                 min(k - v2, len(a) - 1) + 1)]
+                for k in range(n)]
+        # _Shapes follow the shape rules, and a factor whose coefficients
+        # are all exact single terms only shifts and scales, with nothing
+        # to pack: both take one LaurentSeries product per pair
+        if any([isinstance(c, _Shape) for c in a + b]) or any(
+                all([c.is_exact and len(c._nums) < 2 for c in s])
+                for s in (a, b)):
+            coeffs = [sum(terms[1:], terms[0]) if terms
+                      else LaurentSeries.zero()
+                      for terms in [[x * y for x, y in row] for row in rows]]
+        else:
+            coeffs = _sums_of_products(rows)
         return _normalize(tuple(coeffs), length)
 
     __rmul__ = __mul__
@@ -221,11 +228,15 @@ class XSeries:
     def substitute_x(self, c):
         """Substitute x -> c*x for a scalar c (a series in q)."""
         c = _coerce_coeff(c)
-        coeffs = []
-        power = LaurentSeries.one()
-        for a in self._coeffs:
-            coeffs.append(a * power)
-            power = power * c
+        coeffs, power = list(self._coeffs), LaurentSeries.one()
+        # an exact zero stays one whatever power of c it meets, so c is
+        # raised only up to the last coefficient that is not one
+        last = max([j + 1 for j, a in enumerate(coeffs) if not _exact_zero(a)],
+                   default=0)
+        for j in range(last):
+            if j:
+                power = power * c
+            coeffs[j] = coeffs[j] * power
         return _normalize(tuple(coeffs), self._xlength)
 
     def truncate_x(self, n):
@@ -265,10 +276,13 @@ class XSeries:
                 f'precision={self._precision}, terms={len(self._coeffs)})')
 
 
+def _exact_zero(c):
+    return c.is_zero and c.precision == math.inf
+
+
 def _normalize(coeffs, xlength, precision=None):
     if xlength == math.inf:
-        while coeffs and coeffs[-1].is_zero \
-                and coeffs[-1].precision == math.inf:
+        while coeffs and _exact_zero(coeffs[-1]):
             coeffs = coeffs[:-1]
     if precision is None:
         precision = math.inf
@@ -278,8 +292,8 @@ def _normalize(coeffs, xlength, precision=None):
     def align(c):
         if c.precision <= precision:
             return c
-        if c.is_zero and c.precision == math.inf:
-            return c  # exact zeros stay exact
+        if _exact_zero(c):
+            return c
         return c.truncate(precision)
 
     return XSeries(tuple([align(c) for c in coeffs]), xlength, precision)
@@ -292,7 +306,7 @@ def _coerce_operand(other):
         c = _coerce_coeff(other)
     except TypeError:
         return None
-    if c.is_zero and c.precision == math.inf:
+    if _exact_zero(c):
         return XSeries((), math.inf, math.inf)
     return XSeries((c,), math.inf, c.precision)
 
@@ -470,7 +484,7 @@ def q_derivative(f):
     else:
         n = f.xlength
         length = max(f.xlength - 1, 0)
-    coeffs = tuple([f.coefficient(j) * IntPolynomial((1,) * j)
+    coeffs = tuple([_times_q_integer(f.coefficient(j), j)
                     for j in range(1, n)])
     return _normalize(coeffs, length)
 

@@ -41,22 +41,33 @@ operand first.
 Multiplication works on the numerators, over the product of the
 denominators.  An exact one-term factor c q^e / d is a shift by e and a
 scale by c / d, with no convolution: that is how substitute_x by q^n
-and the constant 1 of an XSeries multiply.  Otherwise _multiply takes
-one Kronecker product (polynomial's module docstring) when both
-operands have more than one nonzero term and the product of their
-nonzero counts reaches polynomial.KRONECKER_SIZE: the operands are
-packed at q = 2^k, k one more than the bit length of |a|_inf |b|_inf
-min(len a, len b) and rounded up to 8, 16, 32 or 64 bits when it is at
-most 64, and only the low n balanced digits of the integer product are
-read back, from its residue mod 2^(k n), since a series product keeps
-only its first n terms; at a word width the digits are read in C
-(polynomial._kronecker).  Sparse and small products convolve, skipping
-zero coefficients.  _times_brace_factor is the step of a binomial run:
-x (1 - q^s brace) / (1 - q^m) as one _multiply into an integer window
-and running sums of stride m.
+multiplies.  Otherwise _multiply takes one Kronecker product
+(polynomial's module docstring) when both operands have more than one
+nonzero term and the product of their nonzero counts reaches
+polynomial.KRONECKER_SIZE: the operands are packed at q = 2^k, k one
+more than the bit length of |a|_inf |b|_inf min(len a, len b) and
+rounded up to 8, 16, 32 or 64 bits when it is at most 64, and only the
+low n balanced digits of the integer product are read back, from its
+residue mod 2^(k n), since a series product keeps only its first n
+terms; at a word width the digits are read in C (polynomial._digits).
+Sparse and small products convolve, skipping zero coefficients.
+
+Kronecker substitution is linear (Harvey, J. Symbolic Comput. 44,
+2009): a sum of shifted products packs to the sum of the shifted packed
+products, so two kernels read a whole sum back once.
+_sums_of_products takes the x-powers of an XSeries product: every
+x-coefficient is packed once, at one width for the whole product, each
+power is one integer summed over its pairs, and every power is cut to
+the one q-precision qseries._normalize keeps.  _times_brace_factor is
+the step of a binomial run, x (1 - q^s brace) / (1 - q^m): x packed
+times the packed db q^(o - lo) - q^(ob - lo) brace, the brace packed
+once per width per run, read back once, then running sums of stride m.
+_times_q_integer multiplies by [j]_q = (1 - q^j) / (1 - q) as a
+stride-j difference and a running sum.
 
 Division runs the quotient recurrence in int; a divisor lead other than
-+-1 puts powers of the lead in the common denominator.
++-1 puts powers of the lead in the common denominator.  An exact
+one-term divisor c q^e / d is a shift by -e and a scale by d / c.
 series_from_ratfun expands a rational function through the same
 division kernel.
 
@@ -82,8 +93,8 @@ import operator
 from fractions import Fraction
 
 from .errors import InsufficientPrecisionError
-from .polynomial import (KRONECKER_SIZE, IntPolynomial, _kronecker, _power,
-                         format_terms)
+from .polynomial import (KRONECKER_SIZE, IntPolynomial, _digits, _kronecker,
+                         _pack, _power, _width, format_terms)
 
 
 class LaurentSeries:
@@ -269,6 +280,13 @@ class LaurentSeries:
             n = len(self._nums)
         if n <= 0:
             return LaurentSeries.zero(p)
+        if len(other._nums) == 1 and other._precision == math.inf:
+            # an exact c q^e / d: shift self by -e and scale it by d / c
+            c, d = other._nums[0], other._den
+            if c == 1 and d == 1:
+                return LaurentSeries(o, self._nums, self._den, p)
+            return _canonical(o, [d * v for v in self._nums], self._den * c,
+                              p)
         # (a/da) / (b/db) = (a/b) * db / da
         nums, den = _divide(self._nums[:n], other._nums[:n], n)
         db = other._den
@@ -462,28 +480,103 @@ def _canonical(order, nums, den, precision):
     return LaurentSeries(order + lo, nums, den, precision)
 
 
-def _times_brace_factor(x, brace, s, m, precision):
+def _times_brace_factor(x, brace, s, m, precision, packs):
     """x (1 - q^s brace) / (1 - q^m) below q^precision, for m >= 1.
 
-    One _multiply of the numerators into one integer window, from the
-    lower of the orders of x and q^s x brace, then the division by
-    1 - q^m as running sums of stride m.  The caller vouches that the
-    result is known below q^precision: qbinomial.binomial_run sizes it
-    from the factors' orders and checks the order it gets.
+    One Kronecker product, x packed times db q^(o - lo) - q^(ob - lo)
+    brace packed, read back once from the lower lo of the orders o of x
+    and ob of q^s x brace (db is the brace's denominator), then the
+    division by 1 - q^m as running sums of stride m.  packs maps a width
+    to the packed numerators of brace, and 0 to their largest size, so a
+    run that passes one dict reads its brace once and packs it once per
+    width.  The caller vouches that the result is known below
+    q^precision: qbinomial.binomial_run sizes it from the factors' orders
+    and checks the order it gets.
     """
     o, ob, db = x._order, x._order + s + brace._order, brace._den
     lo = min(o, ob)
     size = precision - lo
-    acc = [0] * size
-    top = x._nums[:max(0, precision - o)]
-    acc[o - lo:o - lo + len(top)] = top if db == 1 else [c * db for c in top]
-    n = precision - ob
-    if n > 0:
-        acc[ob - lo:] = map(operator.sub, acc[ob - lo:],
-                            _multiply(x._nums[:n], brace._nums[:n], n))
-    for j in range(min(m, size - m)):
-        acc[j::m] = itertools.accumulate(acc[j::m])
+    top = x._nums[:size]
+    b = brace._nums if ob < precision else ()
+    if 0 not in packs:
+        packs[0] = max(map(abs, brace._nums), default=0)
+    k = _width(max(map(abs, top)) * (db + packs[0] * min(len(top), len(b))))
+    if b and k not in packs:
+        packs[k] = _pack(b, k)
+    factor = (db << k * (o - lo)) - (packs[k] << k * (ob - lo) if b else 0)
+    acc = _digits(_pack(top, k) * factor, k, size)
+    for i in range(m, size):
+        acc[i] += acc[i - m]
     return _canonical(lo, acc, x._den * db, precision)
+
+
+def _times_q_integer(x, j):
+    """x [j]_q for j >= 1: a stride-j difference and one running sum.
+
+    [j]_q = (1 - q^j) / (1 - q) is exact of order 0, so x keeps its order
+    and precision; a _Shape is returned as it is.
+    """
+    if isinstance(x, _Shape) or not x._nums:
+        return x
+    n = min(len(x._nums) + j - 1, x._precision - x._order)
+    acc = list(x._nums[:n]) + [0] * (n - len(x._nums))
+    acc[j:] = map(operator.sub, acc[j:], x._nums)
+    return _canonical(x._order, list(itertools.accumulate(acc)), x._den,
+                      x._precision)
+
+
+def _sums_of_products(rows):
+    """[the sum of x y over the (x, y) of row, for each row], the
+    x-powers of an XSeries product.
+
+    Each sum takes the least _mul_precision of its pairs, and every sum
+    is then cut to the least of those, the one q-precision
+    qseries._normalize keeps; a row whose products are all exact (or
+    that has none) is computed exactly, so an exact zero stays exact.
+    Every operand is packed once, to the most terms any of its pairs
+    needs below the cut, at one width for the whole call, and each row
+    is one integer, read back once: the sum of its pairs' packed
+    products, each shifted to the row's lowest order and scaled to one
+    common denominator.  Kronecker substitution is linear, so the digits
+    below the cut are the row's coefficients as long as the width bounds
+    the sum of the pairs' coefficient bounds.
+    """
+    precisions = [min([_mul_precision(x, y) for x, y in row],
+                      default=math.inf) for row in rows]
+    cut = min(precisions, default=math.inf)
+    plans, needs = [], {}
+    for row, p in zip(rows, precisions):
+        top = math.inf if p == math.inf else cut
+        pairs = []
+        for x, y in row:
+            room = top - x._order - y._order
+            if room > 0 and x._nums and y._nums:
+                pairs.append((x, y))
+                for u in (x, y):
+                    if needs.get(id(u), (0,))[0] < room:
+                        needs[id(u)] = (room, u)
+        plans.append((top, pairs, math.lcm(*[x._den * y._den
+                                             for x, y in pairs])))
+    nums = {key: u._nums[:min(room, len(u._nums))]
+            for key, (room, u) in needs.items()}
+    high = {key: max(map(abs, c)) for key, c in nums.items()}
+    k = _width(max([sum([den // (x._den * y._den) * high[id(x)] * high[id(y)]
+                         * min(len(nums[id(x)]), len(nums[id(y)]))
+                         for x, y in pairs])
+                    for top, pairs, den in plans], default=0))
+    packs = {key: _pack(c, k) for key, c in nums.items()}
+    out = []
+    for top, pairs, den in plans:
+        if not pairs:
+            out.append(LaurentSeries.zero(top))
+            continue
+        lo = min([x._order + y._order for x, y in pairs])
+        end = max([x._support_end() + y._support_end() for x, y in pairs])
+        acc = sum([packs[id(x)] * packs[id(y)] * (den // (x._den * y._den))
+                   << k * (x._order + y._order - lo) for x, y in pairs])
+        out.append(_canonical(lo, _digits(acc, k, min(end - 1, top) - lo),
+                              den, top))
+    return out
 
 
 def _multiply(a, b, n):

@@ -14,7 +14,8 @@ from qreals import (ConvergentSequence, DomainError, InsufficientPrecisionError,
                     q_gamma, q_rational, q_real_series, ratfun,
                     series_from_ratfun, verify_identity)
 from qreals.cli import main
-from qreals.qseries import (XSeries, binomial_coefficients, binomial_product,
+from qreals.qseries import (XSeries, _normalize, binomial_coefficients,
+                            binomial_product,
                             binomial_series, generalized_pochhammer,
                             negative_binomial_coefficients,
                             negative_binomial_product,
@@ -293,6 +294,88 @@ def test_shapes_never_promise_more_than_the_series_keep(f, g, c):
         assert shape.precision <= real.precision
         for s, r in zip(shape.coefficients(), real.coefficients()):
             assert s.precision <= r.precision
+
+
+# numerators up to 2^80 over denominators other than 1
+wide_laurent = st.builds(
+    lambda o, cs, den, extra, exact: series(
+        o, [Fraction(c, den) for c in cs],
+        math.inf if exact else o + len(cs) + extra),
+    st.integers(min_value=-5, max_value=5),
+    st.lists(st.one_of(st.integers(min_value=-3, max_value=3),
+                       st.integers(min_value=-2 ** 80, max_value=2 ** 80)),
+             max_size=6),
+    st.sampled_from([1, 2, 12]), st.integers(min_value=0, max_value=4),
+    st.booleans())
+wide_xs = st.builds(lambda cs, exact: xseries(cs, None if exact else len(cs)),
+                    st.lists(st.one_of(laurent, wide_laurent), max_size=6),
+                    st.booleans())
+
+
+def per_pair_product(f, g):
+    # the XSeries product as one LaurentSeries mul and add per pair
+    a, b = f._coeffs, g._coeffs
+    v1, v2 = f._known_valuation(), g._known_valuation()
+    length = min(f.xlength + v2, g.xlength + v1)
+    if length == math.inf:
+        if f.is_zero or g.is_zero:
+            return XSeries((), math.inf, math.inf)
+        n = len(a) + len(b) - 1
+    else:
+        n = length
+    coeffs = []
+    for k in range(n):
+        acc = LaurentSeries.zero()
+        for j in range(max(v1, k - len(b) + 1), min(k - v2, len(a) - 1) + 1):
+            acc = acc + a[j] * b[k - j]
+        coeffs.append(acc)
+    return _normalize(tuple(coeffs), length)
+
+
+def _shape_fields(f):
+    return (f.xlength, f.precision,
+            [(c.order, c.precision) for c in f.coefficients()])
+
+
+@given(wide_xs, wide_xs)
+def test_product_matches_the_per_pair_products(f, g):
+    got = f * g
+    assert got == per_pair_product(f, g)
+    assert got.to_json() == per_pair_product(f, g).to_json()
+    assert _shape_fields(_shapes(f) * _shapes(g)) == _shape_fields(
+        per_pair_product(_shapes(f), _shapes(g)))
+
+
+def substitute_every_power(f, c):
+    # c raised once for every stored coefficient, exact zeros included
+    coeffs, power = [], LaurentSeries.one()
+    for a in f.coefficients():
+        coeffs.append(a * power)
+        power = power * c
+    return _normalize(tuple(coeffs), f.xlength)
+
+
+@given(wide_xs, st.one_of(laurent, wide_laurent))
+def test_substitute_x_matches_raising_every_power(f, c):
+    assert f.substitute_x(c) == substitute_every_power(f, c)
+    shape = _Shape(c.order, c.precision)
+    assert _shape_fields(_shapes(f).substitute_x(shape)) == _shape_fields(
+        substitute_every_power(_shapes(f), shape))
+
+
+def derivative_by_products(f):
+    # the x^j coefficient times the polynomial [j]_q = 1 + q + ... + q^(j-1)
+    n = len(f.coefficients()) if f.xlength == math.inf else f.xlength
+    coeffs = tuple([f.coefficient(j) * P(*[1] * j) for j in range(1, n)])
+    return _normalize(coeffs, math.inf if f.xlength == math.inf
+                      else max(f.xlength - 1, 0))
+
+
+@given(wide_xs)
+def test_q_derivative_matches_the_products_with_q_integers(f):
+    assert q_derivative(f) == derivative_by_products(f)
+    assert _shape_fields(q_derivative(_shapes(f))) == _shape_fields(
+        derivative_by_products(_shapes(f)))
 
 
 @pytest.mark.parametrize('xdeg', [-1, -5])

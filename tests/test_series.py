@@ -1,15 +1,18 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from qreals import qbinomial
 from qreals.errors import InsufficientPrecisionError
 from qreals.polynomial import IntPolynomial
 from qreals.qcore import _floor_and_order
 from qreals.ratfun import ratfun
-from qreals.series import (LaurentSeries, _multiply, _Shape,
-                           _times_brace_factor, series, series_from_ratfun)
+from qreals.series import (LaurentSeries, _canonical, _divide, _multiply,
+                           _Shape, _sums_of_products, _times_brace_factor,
+                           _times_q_integer, series, series_from_ratfun)
 
 
 def P(*coeffs):
@@ -477,9 +480,107 @@ def test_brace_factor_step_matches_mul_then_div(x, brace, s, m, cut):
     want = product / LaurentSeries.from_polynomial(P(1, *[0] * (m - 1), -1))
     precision = want.precision - cut
     assume(precision > min(x.order, x.order + s + brace.order))
-    got = _times_brace_factor(x, brace, s, m, precision)
+    packs, ob = {}, x.order + s + brace.order
+    if x.order < ob < precision:
+        # a step that reads none of the brace fills the dict first
+        _times_brace_factor(x, brace, s, m, ob, packs)
+    got = _times_brace_factor(x, brace, s, m, precision, packs)
     assert got.to_json() == want.truncate(precision).to_json()
     assert_canonical(got)
+
+
+def _checked_step(x, brace, s, m, precision, packs):
+    # the packed step, with the run's shared packs, against series mul
+    # and div, whose precision must reach what the run asks for
+    got = _times_brace_factor(x, brace, s, m, precision, packs)
+    want = x * (1 - brace.shift(s)) \
+        / LaurentSeries.from_polynomial(P(1, *[0] * (m - 1), -1))
+    assert want.precision >= precision
+    assert got == want.truncate(precision)
+    assert_canonical(got)
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.fractions(min_value=-3, max_value=6, max_denominator=9),
+                 st.fractions(min_value=0, max_value=1,
+                              max_denominator=200)),
+       st.sampled_from([16, 40, 64]), st.sampled_from(['gamma', 'B', 'b']))
+@example(Fraction(2, 3), 64, 'gamma')
+@example(Fraction(-5, 2), 64, 'gamma')
+def test_brace_factor_steps_of_long_runs_match_mul_then_div(r, precision,
+                                                           kind):
+    # every step of a run, the Gamma kernel's long ones (shifts k(k+1)/2,
+    # k <= precision) included, packs its brace once per width into one
+    # dict; each step must still be the mul-then-div step
+    shifts, sign = {
+        'gamma': ([k * (k + 1) // 2 for k in range(precision + 1)], -1),
+        'B': ([0] * 9, -1), 'b': ([0] * 9, 1)}[kind]
+    with mock.patch.object(qbinomial, '_times_brace_factor', _checked_step):
+        qbinomial.binomial_run(r, shifts, precision, sign)
+
+
+# operands of the XSeries product kernel: numerators up to 2^80 over
+# denominators other than 1, exact or not, at negative orders, exact
+# monomials, and zeros both exact and of finite precision; or one
+# extreme numerator repeated, whose sums reach the width's bound
+@st.composite
+def kernel_series(draw):
+    o = draw(st.integers(min_value=-5, max_value=5))
+    exact = draw(st.booleans())
+    size = draw(st.sampled_from([0, 1, 1, 3, 7]))
+    if not size:
+        return LaurentSeries.zero(math.inf if exact else o)
+    bits = draw(st.sampled_from([1, 8, 40, 80]))
+    den = draw(st.sampled_from([1, 1, 2, 3, 12]))
+    if draw(st.booleans()):
+        cs = [Fraction(draw(st.sampled_from([2 ** bits, -2 ** bits])),
+                       den)] * size
+    else:
+        cs = [Fraction(draw(st.integers(min_value=-2 ** bits,
+                                        max_value=2 ** bits)), den)
+              for _ in range(size)]
+    return series(o, cs, math.inf if exact else
+                  o + size + draw(st.integers(min_value=0, max_value=4)))
+
+
+@st.composite
+def product_rows(draw):
+    # rows of pairs from one pool, so an operand meets several partners,
+    # as the x-coefficients of an XSeries product do; rows may be empty
+    pool = draw(st.lists(kernel_series(), min_size=1, max_size=6))
+    index = st.integers(min_value=0, max_value=len(pool) - 1)
+    rows = draw(st.lists(st.lists(st.tuples(index, index), max_size=4),
+                         max_size=5))
+    return [[(pool[i], pool[j]) for i, j in row] for row in rows]
+
+
+@given(product_rows())
+@example([[(series(0, [2 ** 80] * 7, 9), series(-3, [-2 ** 80] * 7))],
+          [(series(1, [Fraction(1, 3)]), series(0, [3, 5]))], []])
+@example([[(series(0, [1, 1]), series(0, [1, -1])),
+           (series(0, [-1]), series(0, [1, 0, -1]))]])
+def test_sums_of_products_match_mul_then_add(rows):
+    # every row by LaurentSeries mul and add, then cut to the least row
+    # precision, as qseries._normalize does; rows with only exact
+    # products stay exact, exact zeros included
+    sums = [sum([x * y for x, y in row], LaurentSeries.zero())
+            for row in rows]
+    cut = min([s.precision for s in sums], default=math.inf)
+    got = _sums_of_products(rows)
+    assert got == [s if s.is_exact else s.truncate(cut) for s in sums]
+    for s in got:
+        assert_canonical(s)
+
+
+@given(any_series, st.integers(min_value=1, max_value=9))
+def test_times_q_integer_matches_the_product_with_it(x, j):
+    q_integer = P(*[1] * j)
+    got = _times_q_integer(x, j)
+    assert got == x * q_integer
+    assert_canonical(got)
+    shape = _times_q_integer(_Shape(x.order, x.precision), j)
+    _assert_shape(shape, x * q_integer)
 
 
 def _assert_shape(shape, real, same_order=True):
@@ -624,6 +725,27 @@ def test_one_term_product_equals_the_general_product(m, s):
     for got in (m * s, s * m):
         assert_same(got, schoolbook_mul(m, s))
         assert_canonical(got)
+
+
+def divide_by_recurrence(a, b):
+    # LaurentSeries division with every divisor through _divide
+    o2 = b.order
+    p = min(a.precision - o2, b.precision - 2 * o2 + _eff_order(a))
+    if a.is_zero:
+        return LaurentSeries.zero(p)
+    o = a.order - o2
+    n = len(a._nums) if p == math.inf else p - o
+    if n <= 0:
+        return LaurentSeries.zero(p)
+    nums, den = _divide(a._nums[:n], b._nums[:n], n)
+    return _canonical(o, [y * b._den for y in nums], den * a._den, p)
+
+
+@given(any_series, monomials)
+def test_monomial_division_matches_the_recurrence(a, m):
+    got = a / m
+    assert got == divide_by_recurrence(a, m)
+    assert_canonical(got)
 
 
 def fraction_floor_and_order(r):
