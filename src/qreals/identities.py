@@ -29,7 +29,7 @@ from .qgamma import (gamma_power, gamma_reflection, pochhammer_at_q, q_gamma,
 from .qseries import (binomial_product, binomial_series,
                       negative_binomial_product, negative_binomial_series,
                       q_derivative, xseries)
-from .ratfun import QRationalFunction, ratfun
+from .ratfun import QRationalFunction, ratfun, ratfun_product, ratfun_sum
 from .series import LaurentSeries, _Shape, series_from_ratfun
 
 
@@ -190,20 +190,17 @@ def _pascal_b(b):
 
 def _alt_a(b):
     a, k = b['alpha'], b['k']
-    num = QRationalFunction.one()
-    den = QRationalFunction.one()
-    for i in range(k):
-        num = num * (q_rational(a) - q_integer(i))
-        den = den * (q_integer(k) - q_integer(i))
-    return q_binomial(a, k), num / den
+    rhs = ratfun_product(
+        [q_rational(a) - q_integer(i) for i in range(k)]
+        + [(q_integer(k) - q_integer(i)).reciprocal() for i in range(k)])
+    return q_binomial(a, k), rhs
 
 
 def _alt_b(b):
     a, k = b['alpha'], b['k']
-    num = QRationalFunction.one()
-    for i in range(k):
-        num = num * (q_rational(a) - q_integer(i))
-    return q_binomial(a, k), _qpow(-_choose2(k)) * num / q_factorial(k)
+    rhs = ratfun_product([_qpow(-_choose2(k)), q_factorial(k).reciprocal()]
+                         + [q_rational(a) - q_integer(i) for i in range(k)])
+    return q_binomial(a, k), rhs
 
 
 def _alt_c(b):
@@ -237,10 +234,8 @@ def _other_pascal(b):
 
 def _chu(b):
     a, n, k = b['alpha'], b['n'], b['k']
-    rhs = QRationalFunction.zero()
-    for j in range(k + 1):
-        rhs = rhs + (_qpow(j * (n - k + j)) * q_binomial(n, k - j)
-                     * q_binomial(a, j))
+    rhs = ratfun_sum((_qpow(j * (n - k + j)), q_binomial(n, k - j),
+                      q_binomial(a, j)) for j in range(k + 1))
     return q_binomial(a + n, k), rhs
 
 
@@ -252,20 +247,18 @@ def _vand_lemma(b):
     if not 0 <= ell <= n:
         raise DomainError('the double-binomial collapse needs '
                           f'0 <= ell <= n, got ell={ell}, n={n}')
-    lhs = QRationalFunction.zero()
-    for j in range(n + 1):
-        lhs = lhs + (_qpow(ell * (j - n + ell) + j * (m - n + j))
-                     * q_binomial(ell, n - j) * q_binomial(a, m + j))
+    lhs = ratfun_sum((_qpow(ell * (j - n + ell) + j * (m - n + j)),
+                      q_binomial(ell, n - j), q_binomial(a, m + j))
+                     for j in range(n + 1))
     rhs = _qpow((m - ell) * (n - ell)) * q_binomial(a + ell, m + n)
     return lhs, rhs
 
 
 def _riordan(b):
     a, m, n = b['alpha'], b['m'], b['n']
-    rhs = QRationalFunction.zero()
-    for ell in range(min(m, n) + 1):
-        rhs = rhs + (_qpow((m - ell) * (n - ell)) * q_binomial(n, ell)
-                     * q_binomial(m, ell) * q_binomial(a + ell, m + n))
+    rhs = ratfun_sum((_qpow((m - ell) * (n - ell)), q_binomial(n, ell),
+                      q_binomial(m, ell), q_binomial(a + ell, m + n))
+                     for ell in range(min(m, n) + 1))
     return q_binomial(a, m) * q_binomial(a, n), rhs
 
 

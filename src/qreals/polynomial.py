@@ -287,6 +287,15 @@ def _power(x, n, one):
     return result
 
 
+def _product_tree(factors):
+    """The product of a list of polynomials as a balanced tree: each
+    product pairs operands of like size."""
+    while len(factors) > 1:
+        factors = [factors[i] * factors[i + 1] if i + 1 < len(factors)
+                   else factors[i] for i in range(0, len(factors), 2)]
+    return factors[0] if factors else _ONE
+
+
 def _plain_coefficient(c, alone):
     # a fractional coefficient in front of a power of q is parenthesized
     # so '(1/2)q^3' stays unambiguous
@@ -461,7 +470,9 @@ def _quotient(a, b):
     """Coefficients of a / b when b divides a in Z[q], else None."""
     db = len(b) - 1
     n = len(a) - 1 - db
-    if n < 0:
+    # b_0 divides a_0; a GCDHEU candidate with a wide b_0 fails here
+    # rather than after a whole division
+    if n < 0 or b[0] and a[0] % b[0]:
         return None
     a = list(a)
     lead = b[-1]

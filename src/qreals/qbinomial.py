@@ -78,10 +78,10 @@ import math
 
 from . import _cache
 from .errors import DomainError, InsufficientPrecisionError
-from .polynomial import IntPolynomial, _quotient
+from .polynomial import IntPolynomial, _product_tree, _quotient
 from .qcore import (DEFAULT_PRECISION, _factor_order, _floor_and_order,
                     _q_rational_cached, _split, q_brace_series)
-from .ratfun import QRationalFunction, ratfun
+from .ratfun import QRationalFunction, ratfun, ratfun_product
 from .series import LaurentSeries, _times_brace_factor
 
 
@@ -100,18 +100,16 @@ def q_pochhammer(x, n, inverse_base=False):
     """Finite Pochhammer product (x; q)_n = (1-x)(1-qx)...(1-q^(n-1)x).
 
     With inverse_base=True the base is 1/q, giving (x; 1/q)_n.
-    x may be an integer, a polynomial, or a rational function of q.
+    x may be an integer, a polynomial, or a rational function of q.  The
+    n factors are one ratfun_product: their numerators and denominators
+    are multiplied as product trees and reduced by one gcd, where a
+    running product takes up to two per factor.
     """
     if n < 0:
         raise DomainError(f'Pochhammer length must be nonnegative, got {n}')
-    if not isinstance(x, QRationalFunction):
-        x = QRationalFunction.from_polynomial(x) if isinstance(
-            x, IntPolynomial) else QRationalFunction.from_integer(x)
-    out = QRationalFunction.one()
-    for i in range(n):
-        e = -i if inverse_base else i
-        out = out * (1 - QRationalFunction.q_power(e) * x)
-    return out
+    step = -1 if inverse_base else 1
+    return ratfun_product([1 - QRationalFunction.q_power(step * i) * x
+                           for i in range(n)])
 
 
 @_cache.table(128)
@@ -200,14 +198,6 @@ def _gaussian(n, k):
             c[j::i] = itertools.accumulate(c[j::i])
         del c[len(c) - i:]
     return ratfun(e, IntPolynomial(c) * sign, 1, reduced=True)
-
-
-def _product_tree(factors):
-    # a balanced product tree: each product pairs operands of like size
-    while len(factors) > 1:
-        factors = [factors[i] * factors[i + 1] if i + 1 < len(factors)
-                   else factors[i] for i in range(0, len(factors), 2)]
-    return factors[0] if factors else IntPolynomial.one()
 
 
 def binomial_run(value, shifts, precision, sign=-1):

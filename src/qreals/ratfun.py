@@ -9,12 +9,26 @@ exactly the order of vanishing at q=0.
 
 Construct values through ratfun(), which normalizes, or through the
 classmethod constructors; the raw __init__ trusts its arguments.
+
+Each + and * reduces its result with up to two gcds, by Henrici's
+pairwise method (Knuth, TAOCP vol. 2, 4.5.1).  A sum or product of many
+values reduces once instead: ratfun_product multiplies all numerators
+and all denominators as balanced product trees and takes one gcd, and
+ratfun_sum forms each term's product unreduced, puts the terms over the
+largest term denominator, adds the numerators and takes one gcd.  A
+term whose denominator does not divide the largest one goes through +.
+The catalog's sums nest: the denominator of binom(f + m, k)_q is D^k
+times the Phi_d^floor(k/d) that have no class (qbinomial docstring), so
+it does not depend on m and divides the one at k + 1, and the Gaussian
+factors of each term have denominator 1.  Canonical forms are unique,
+so these give exactly the fields of a left fold of + or *.
 """
 
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-from .polynomial import IntPolynomial, _gcd_cofactors, _power, format_terms
+from .polynomial import (IntPolynomial, _from_ints, _gcd_cofactors, _power,
+                         _product_tree, _quotient, format_terms)
 
 _ONE = IntPolynomial.one()
 
@@ -171,6 +185,11 @@ class QRationalFunction:
     def __pow__(self, n):
         if isinstance(n, int) and n < 0:
             return self.reciprocal() ** (-n)
+        if isinstance(n, int) and n > 0:
+            # coprime num and den stay coprime, contents included (Gauss's
+            # lemma), so the power takes no gcd
+            return QRationalFunction(self._e * n, self._num ** n,
+                                     self._den ** n)
         return _power(self, n, QRationalFunction.one())
 
     def substitute_q_inverse(self):
@@ -258,3 +277,52 @@ def ratfun(e, num, den, reduced=False):
     if den.coeffs[0] < 0:
         num, den = -num, -den
     return QRationalFunction(e, num, den)
+
+
+def _unreduced(factors):
+    """(e, N, D) with q^e N / D the product of factors (ints, polynomials
+    or rational functions), N and D balanced product trees, no gcd."""
+    e, nums, dens = 0, [], []
+    for x in factors:
+        if isinstance(x, int):
+            x = IntPolynomial((x,))
+        if isinstance(x, IntPolynomial):
+            x = QRationalFunction(0, x, _ONE)
+        elif not isinstance(x, QRationalFunction):
+            raise TypeError(f'cannot multiply by {type(x).__name__}')
+        e += x._e
+        if x._num != _ONE:
+            nums.append(x._num)
+        if x._den != _ONE:
+            dens.append(x._den)
+    return e, _product_tree(nums), _product_tree(dens)
+
+
+def ratfun_product(factors):
+    """The product of factors, reduced once (module docstring)."""
+    return ratfun(*_unreduced(factors))
+
+
+def ratfun_sum(terms):
+    """The sum of terms, each a tuple of factors, reduced once.
+
+    Every term whose unreduced denominator divides the largest one is put
+    over it; the rest go through + (module docstring).
+    """
+    terms = [t for t in map(_unreduced, terms) if t[1]]
+    if not terms:
+        return QRationalFunction.zero()
+    top = max((d for _, _, d in terms), key=lambda d: d.degree)
+    e = min(t[0] for t in terms)
+    total, rest = IntPolynomial.zero(), QRationalFunction.zero()
+    for te, num, den in terms:
+        num = num.shift(te - e)
+        if den == top:
+            total += num
+            continue
+        c = _quotient(top.coeffs, den.coeffs)
+        if c is None:
+            rest += ratfun(e, num, den)
+        else:
+            total += num * _from_ints(c)
+    return ratfun(e, total, top) + rest

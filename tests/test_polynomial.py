@@ -71,6 +71,32 @@ def test_divide_exact():
         P(1, 1, 1).divide_exact(P(1, 1))
 
 
+def _divides(a, b):
+    """Whether b divides a in Z[q], by long division over the rationals."""
+    rem, lead = [Fraction(c) for c in a], b.coeffs[-1]
+    quotient = []
+    for i in range(len(rem) - len(b.coeffs), -1, -1):
+        c = rem[i + b.degree] / lead
+        quotient.append(c)
+        for j, bj in enumerate(b.coeffs):
+            rem[i + j] -= c * bj
+    return not any(rem) and all(c.denominator == 1 for c in quotient)
+
+
+@given(small_polys, nonzero_polys, small_polys,
+       st.integers(min_value=-3, max_value=3))
+def test_quotient_exactly_when_divisible(c, b, r, wide):
+    # a = b c + r, with r often zero; b's constant term is sometimes
+    # widened, as in a GCDHEU candidate, so that it alone rules a b out
+    b = b + P(wide * 2 ** 70) if wide and b.coeffs[0] else b
+    a = b * c + r
+    out = polynomial._quotient(a.coeffs, b.coeffs)
+    if a and len(a.coeffs) >= len(b.coeffs) and _divides(a.coeffs, b):
+        assert out is not None and P(*out) * b == a
+    elif a:
+        assert out is None
+
+
 def test_content_and_primitive():
     assert P(2, 4, 6).content() == 2
     assert P(2, 4, 6).primitive_part() == P(1, 2, 3)

@@ -1,4 +1,6 @@
+import functools
 import importlib
+import operator
 import os
 import subprocess
 import sys
@@ -6,10 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qreals import q_brace, q_pochhammer, q_rational
 from qreals.polynomial import IntPolynomial
-from qreals.ratfun import QRationalFunction, ratfun
+from qreals.ratfun import QRationalFunction, ratfun, ratfun_product, ratfun_sum
 
 # the package exports the function ratfun under the module's name
 ratfun_module = importlib.import_module('qreals.ratfun')
@@ -293,7 +296,99 @@ def test_a_sum_over_a_shared_denominator_takes_one_gcd(monkeypatch):
     assert len(calls) == 3
 
 
-def test_identity_exact_panel_takes_at_most_6808_gcds_and_17079_products():
+def _fold_product(factors):
+    return functools.reduce(operator.mul, factors, QRationalFunction.one())
+
+
+def _fold_sum(terms):
+    return functools.reduce(
+        operator.add, map(_fold_product, terms), QRationalFunction.zero())
+
+
+@st.composite
+def _factors(draw, bases):
+    """An int, a polynomial or a rational function whose denominator is
+    the product of some of bases: a repeated pick gives equal
+    denominators, a longer one nested ones, two others neither."""
+    picks = draw(st.lists(st.sampled_from(bases), max_size=2))
+    den = functools.reduce(operator.mul, picks, P(1))
+    fraction = st.builds(lambda e, num: ratfun(e, num, den),
+                         st.integers(min_value=-4, max_value=3),
+                         small_polys.filter(bool))
+    return draw(st.one_of(st.integers(min_value=-3, max_value=3),
+                          small_polys, fraction, fraction))
+
+
+@st.composite
+def _terms(draw):
+    bases = draw(st.lists(small_polys.filter(bool), min_size=2, max_size=3))
+    return draw(st.lists(
+        st.lists(_factors(bases), max_size=3).map(tuple), max_size=5))
+
+
+@given(st.lists(values, max_size=6))
+@example([])
+@example([0, RF(-2, (1, 1), (3, 1))])
+def test_ratfun_product_matches_a_left_fold(factors):
+    assert _fields(ratfun_product(factors)) == _fields(
+        _fold_product(factors))
+
+
+@settings(max_examples=300)
+@given(_terms())
+@example([])
+@example([(), (0, RF(1, (1,), (1, 1)))])
+# 3 does not divide 2 over the integers: the second term takes +
+@example([(RF(0, (2,), (3,)),), (RF(0, (3,), (2,)),)])
+# (1 + q)^2 takes 1 + q, and 1 + q + q^2 takes +
+@example([(RF(0, (1,), (1, 2, 1)),), (RF(2, (3,), (1, 1)),),
+          (RF(-1, (1, 1), (1, 1, 1)),)])
+# nested denominators whose numerators cancel a shared factor
+@example([(RF(0, (1,), (1, 1)),), (RF(-1, (0, 1), (1, 2, 1)),),
+          (P(2),)])
+def test_ratfun_sum_matches_a_left_fold(terms):
+    assert _fields(ratfun_sum(terms)) == _fields(_fold_sum(terms))
+
+
+def test_products_and_nested_sums_take_one_gcd(monkeypatch):
+    x = RF(1, (1, 2), (1, 0, 1))
+    y = RF(-2, (3, 1), (1, 1, 1))
+    # every term's denominator divides (1 + q^2)^2 (1 + q + q^2)
+    factors = [x, y, 2, P(1, 1)]
+    terms = [(x,), (x, x, y), (y, P(0, 1)), (3,)]
+    product, total = _fold_product(factors), _fold_sum(terms)
+    calls = _counting_gcds(monkeypatch)
+    assert _fields(ratfun_product(factors)) == _fields(product)
+    assert _fields(ratfun_sum(terms)) == _fields(total)
+    assert len(calls) == 2
+
+
+def test_positive_powers_take_no_gcd(monkeypatch):
+    # their values equal the repeated products
+    # (tests/test_polynomial.py)
+    x = RF(-1, (2, 0, 3), (4, 1))
+    calls = _counting_gcds(monkeypatch)
+    for n in range(1, 9):
+        x ** n
+    assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=-6, max_value=6, max_denominator=12),
+       st.sampled_from([q_brace, q_rational]),
+       st.integers(min_value=0, max_value=40), st.booleans())
+@example(Fraction(13, 5), q_brace, 40, False)
+@example(Fraction(-7, 4), q_rational, 40, True)
+def test_pochhammer_matches_a_running_product(r, value, n, inverse_base):
+    x = value(r)
+    out = QRationalFunction.one()
+    for i in range(n):
+        out = out * (1 - QRationalFunction.q_power(-i if inverse_base else i)
+                     * x)
+    assert _fields(q_pochhammer(x, n, inverse_base)) == _fields(out)
+
+
+def test_identity_exact_panel_takes_at_most_4254_gcds_and_16024_products():
     # the traced identity-exact benchmark panel: the first 1 000 cases of
     # seed 7 in a fresh interpreter.  The tracer counts calls to the
     # public poly_gcd, while the rational functions reach the gcd through
@@ -329,5 +424,5 @@ def test_identity_exact_panel_takes_at_most_6808_gcds_and_17079_products():
     assert done.returncode == 0, done.stderr.decode()
     ok, calls, products = done.stdout.decode().split()
     assert ok == 'True'
-    assert 0 < int(calls) <= 6808
-    assert 0 < int(products) <= 17079
+    assert 0 < int(calls) <= 4254
+    assert 0 < int(products) <= 16024
